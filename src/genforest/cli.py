@@ -58,13 +58,7 @@ def _train_cfg(args) -> TrainConfig:
 def _load_model(path, train_csv):
     """Load a model; GF models need their training CSV alongside."""
     ds = load_csv(train_csv) if train_csv else None
-    try:
-        return GenerativeForest.load(path, dataset=ds)
-    except DataError:
-        if ds is None:
-            # retry hint for gf models invoked without --train
-            raise
-        raise
+    return GenerativeForest.load(path, dataset=ds)
 
 
 def cmd_train(args) -> int:

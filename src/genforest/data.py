@@ -94,6 +94,7 @@ class Dataset:
         for c in self.columns:
             c.setflags(write=False)
         self.m = m
+        self._hash: int | None = None
         self._routing: list[np.ndarray] | None = None
 
     @property
@@ -151,7 +152,9 @@ class Dataset:
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     def content_hash(self) -> int:
-        return fnv1a64(self.canonical_bytes())
+        if self._hash is None:
+            self._hash = fnv1a64(self.canonical_bytes())
+        return self._hash
 
     def routing_columns(self) -> list[np.ndarray]:
         """Columns with each missing cell filled by a draw from the column's

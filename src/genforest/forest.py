@@ -61,7 +61,6 @@ class _Node:
     left: int = -1
     right: int = -1
     depth: int = 0
-    count: int = 0  # training rows assigned to the node
 
     @property
     def is_leaf(self) -> bool:
@@ -181,7 +180,6 @@ class GenerativeForest:
         dataset: Dataset | None = None,
         leaf_rows: list[dict[int, np.ndarray]] | None = None,
         arc_p: list[dict[int, float]] | None = None,
-        data_hash: int | None = None,
     ):
         if mode not in ("gf", "eogt"):
             raise ValueError(f"bad mode {mode!r}")
@@ -194,13 +192,10 @@ class GenerativeForest:
         self.dataset = dataset
         self.leaf_rows = leaf_rows
         self.arc_p = arc_p
-        self.data_hash = data_hash
         self._node_masks: list[dict[int, np.ndarray]] = [{} for _ in trees]
         if mode == "gf":
             if dataset is None or leaf_rows is None:
                 raise ValueError("gf mode needs the dataset binding")
-            if data_hash is None:
-                self.data_hash = dataset.content_hash()
         else:
             if arc_p is None:
                 raise ValueError("eogt mode needs arc probabilities")
@@ -230,53 +225,91 @@ class GenerativeForest:
             cache[node] = mask
         return mask
 
-    def enumerate_partition(self, cap: int = PARTITION_CAP_DEFAULT, prune_zero_count: bool = False):
-        """All non-empty leaf-tuple support intersections, built by the
-        sequential chop over trees. GF mode attaches exact counts and rows
-        (each training row lives in exactly one element, per its per-tree leaf
-        assignment)."""
-        with_rows = self.mode == "gf"
-        ds = self.dataset
-        init_rows = np.arange(ds.m) if with_rows else None
-        states = [(Support.full(self.schema), init_rows, ())]
+    def branch_prob(self, t_idx: int, node: int, support: Support, rows: np.ndarray | None) -> float:
+        """Probability of taking the right branch at internal ``node`` of tree
+        ``t_idx`` given the current support and, in GF mode, the rows still
+        compatible with it: the fraction of those rows on the right (GF) or
+        the uniform-corrected arc probability (EOGT)."""
+        tree = self.trees[t_idx]
+        n = tree.nodes[node]
+        assert not n.is_leaf
+        if self.mode == "gf":
+            n_right = int(self.node_member_mask(t_idx, n.right)[rows].sum())
+            assert len(rows) > 0, "unreachable: empty support during sampling"
+            return n_right / len(rows)
+        c_t = support.intersect(tree.supports[n.right])
+        c_f = support.intersect(tree.supports[n.left])
+        return approx_branch_prob(
+            uniform_mass(self.schema, c_t),
+            uniform_mass(self.schema, tree.supports[n.right]),
+            uniform_mass(self.schema, c_f),
+            uniform_mass(self.schema, tree.supports[n.left]),
+            self.arc_p[t_idx][node],
+        )
+
+    def leaf_tuples(self, observed=None, prune_empty: bool = False, cap: int = PARTITION_CAP_DEFAULT):
+        """Every leaf tuple whose support intersection is non-empty and holds
+        the observed values (``observed[j]`` is a raw value, or None where
+        unobserved), built by the sequential chop over trees. Returns
+        ``(leaf_ids, support, aux)`` triples, where ``aux`` is the training
+        rows inside the support (GF) or the chained branch-probability mass
+        (EOGT); ``prune_empty`` drops tuples with no rows / zero mass."""
+        gf = self.mode == "gf"
+        states = [((), Support.full(self.schema), np.arange(self.dataset.m) if gf else 1.0)]
         for t_idx, tree in enumerate(self.trees):
+            nodes, supports = tree.nodes, tree.supports
             new_states = []
-            for sup, rows, leaf_ids in states:
-                stack = [(tree.root, sup, rows)]
+            for leaf_ids, sup, aux in states:
+                stack = [(tree.root, sup, aux)]
                 while stack:
-                    node_id, cur, cur_rows = stack.pop()
-                    node = tree.nodes[node_id]
+                    node_id, cur, cur_aux = stack.pop()
+                    node = nodes[node_id]
                     if node.is_leaf:
-                        new_states.append((cur, cur_rows, leaf_ids + (node_id,)))
+                        new_states.append((leaf_ids + (node_id,), cur, cur_aux))
                         if len(new_states) > cap:
                             raise PartitionSizeError(f"partition exceeds cap {cap}")
                         continue
                     j = node.pred.feature
+                    x = None if observed is None else observed[j]
+                    cur_r = cur.restrictions[j]
+                    children = []
                     for child in (node.left, node.right):
-                        child_r = cur.restrictions[j].intersect(tree.supports[child].restrictions[j])
-                        if child_r.is_empty():
+                        # GF rows first: an empty row set is the cheapest prune
+                        child_aux = cur_aux[self.node_member_mask(t_idx, child)[cur_aux]] if gf else None
+                        if gf and prune_empty and len(child_aux) == 0:
                             continue
-                        child_sup = cur.replace(j, child_r)
-                        if with_rows:
-                            child_rows = cur_rows[self.node_member_mask(t_idx, child)[cur_rows]]
-                            if prune_zero_count and len(child_rows) == 0:
+                        child_r = cur_r.intersect(supports[child].restrictions[j])
+                        if child_r.is_empty() or (x is not None and not child_r.contains(x)):
+                            continue
+                        children.append((child, child_r, child_aux))
+                    if not gf and children:
+                        p_hat = self.branch_prob(t_idx, node_id, cur, None)
+                    for child, child_r, child_aux in children:
+                        if not gf:
+                            p = p_hat if child == node.right else 1.0 - p_hat
+                            if prune_empty and p == 0.0:
                                 continue
-                        else:
-                            child_rows = None
-                        stack.append((child, child_sup, child_rows))
+                            child_aux = cur_aux * p
+                        child_sup = cur if child_r is cur_r else cur.replace(j, child_r)
+                        stack.append((child, child_sup, child_aux))
             states = new_states
-        out = []
-        for sup, rows, leaf_ids in states:
-            out.append(
-                PartitionElement(
-                    leaf_ids=leaf_ids,
-                    support=sup,
-                    count=len(rows) if rows is not None else None,
-                    umass=uniform_mass(self.schema, sup),
-                    rows=rows,
-                )
+        return states
+
+    def enumerate_partition(self, cap: int = PARTITION_CAP_DEFAULT, prune_zero_count: bool = False):
+        """All non-empty leaf-tuple support intersections. GF mode attaches
+        exact counts and rows (each training row lives in exactly one element,
+        per its per-tree leaf assignment)."""
+        gf = self.mode == "gf"
+        return [
+            PartitionElement(
+                leaf_ids=leaf_ids,
+                support=sup,
+                count=len(aux) if gf else None,
+                umass=uniform_mass(self.schema, sup),
+                rows=aux if gf else None,
             )
-        return out
+            for leaf_ids, sup, aux in self.leaf_tuples(prune_empty=prune_zero_count, cap=cap)
+        ]
 
     def partition_element_of(self, values) -> PartitionElement:
         """The unique partition element containing a complete observation."""
@@ -339,19 +372,11 @@ class GenerativeForest:
             while not tree.nodes[node].is_leaf:
                 n = tree.nodes[node]
                 j = n.pred.feature
-                c_t = cur.intersect(tree.supports[n.right])
-                c_f = cur.intersect(tree.supports[n.left])
-                p_hat = approx_branch_prob(
-                    uniform_mass(self.schema, c_t),
-                    uniform_mass(self.schema, tree.supports[n.right]),
-                    uniform_mass(self.schema, c_f),
-                    uniform_mass(self.schema, tree.supports[n.left]),
-                    self.arc_p[t_idx][node],
-                )
+                p_hat = self.branch_prob(t_idx, node, cur, None)
                 go_right = tree.supports[n.right].restrictions[j].contains(values[j])
                 prob *= p_hat if go_right else (1.0 - p_hat)
-                cur = c_t if go_right else c_f
                 node = n.right if go_right else n.left
+                cur = cur.intersect(tree.supports[node])
         return prob
 
     # -- conversions / summaries --------------------------------------------
@@ -416,7 +441,7 @@ class GenerativeForest:
         if self.mode == "eogt":
             doc["arc_p"] = [{str(i): p for i, p in probs.items()} for probs in self.arc_p]
         else:
-            doc["data_hash"] = self.data_hash
+            doc["data_hash"] = self.dataset.content_hash()
             doc["leaf_rows"] = [
                 {str(l): rows.tolist() for l, rows in per_tree.items()} for per_tree in self.leaf_rows
             ]
@@ -446,16 +471,7 @@ class GenerativeForest:
             {int(l): np.asarray(rows, dtype=np.int64) for l, rows in per_tree.items()}
             for per_tree in doc["leaf_rows"]
         ]
-        return cls(
-            schema, trees, pi=doc["pi"], mode="gf",
-            dataset=dataset, leaf_rows=leaf_rows, data_hash=doc["data_hash"],
-        )
-
-
-def support_of_node(tree: Tree, node: int) -> Support:
-    if not 0 <= node < len(tree.nodes):
-        raise ValueError(f"node {node} not in tree")
-    return tree.supports[node]
+        return cls(schema, trees, pi=doc["pi"], mode="gf", dataset=dataset, leaf_rows=leaf_rows)
 
 
 def _schema_to_doc(schema: Schema) -> dict:
@@ -483,14 +499,13 @@ def _tree_to_doc(tree: Tree) -> dict:
     nodes = []
     for n in tree.nodes:
         if n.is_leaf:
-            nodes.append({"leaf": True, "count": n.count})
+            nodes.append({"leaf": True})
         else:
             nd = {
                 "leaf": False,
                 "feature": n.pred.feature,
                 "left": n.left,
                 "right": n.right,
-                "count": n.count,
             }
             if n.pred.threshold is not None:
                 nd["threshold"] = n.pred.threshold
@@ -501,22 +516,25 @@ def _tree_to_doc(tree: Tree) -> dict:
 
 
 def _tree_from_doc(schema: Schema, doc: dict) -> Tree:
+    """Replay the saved splits in the order they were made. ``Tree.split``
+    numbers the two children of each split consecutively after all earlier
+    nodes, so splitting in increasing left-child id gives back the saved node
+    ids, which ``leaf_rows`` and ``arc_p`` are keyed by."""
     tree = Tree(schema)
     raw = doc["nodes"]
-
-    def build(tree_leaf: int, idx: int) -> None:
-        nd = raw[idx]
-        tree.nodes[tree_leaf].count = nd.get("count", 0)
-        if nd["leaf"]:
-            return
+    for left, i in sorted((nd["left"], i) for i, nd in enumerate(raw) if not nd["leaf"]):
+        nd = raw[i]
+        if not (i < left == len(tree.nodes) and nd["right"] == left + 1):
+            raise DataError(f"node {i}: children ({left}, {nd['right']}) are not a valid split sequence")
         pred = SplitPredicate(
             feature=nd["feature"],
             threshold=nd.get("threshold"),
             subset=frozenset(nd["subset"]) if "subset" in nd else None,
         )
-        li, ri = tree.split(tree_leaf, pred)
-        build(li, nd["left"])
-        build(ri, nd["right"])
-
-    build(tree.root, 0)
+        try:
+            tree.split(i, pred)
+        except ValueError as e:
+            raise DataError(f"node {i}: cannot replay its split: {e}") from e
+    if len(tree.nodes) != len(raw):
+        raise DataError("tree nodes do not match its splits")
     return tree

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, INTEGER, MISSING_CODE, Dataset
-from .forest import GenerativeForest, approx_branch_prob
-from .measure import Support, restriction_uniform_fraction, uniform_mass
+from .forest import GenerativeForest
+from .measure import Support, restriction_uniform_fraction
 from .sampler import draw_uniform
 
 TIE_REL_TOL = 1e-12
@@ -45,55 +45,10 @@ def conditional_tuples(forest: GenerativeForest, x_partial) -> list[ConditionalT
     """Leaf tuples whose support is consistent with the observed features.
     GF mode attaches exact empirical masses (zero-mass tuples dropped); EOGT
     mode attaches the chained branch-probability approximation."""
-    gf = forest.mode == "gf"
-    init_rows = np.arange(forest.dataset.m) if gf else None
-    # state: (support, rows | prob)
-    states = [(Support.full(forest.schema), init_rows if gf else 1.0)]
-    for t_idx, tree in enumerate(forest.trees):
-        new_states = []
-        for sup, aux in states:
-            stack = [(tree.root, sup, aux)]
-            while stack:
-                node_id, cur, cur_aux = stack.pop()
-                node = tree.nodes[node_id]
-                if node.is_leaf:
-                    new_states.append((cur, cur_aux))
-                    continue
-                j = node.pred.feature
-                children = []
-                for child in (node.left, node.right):
-                    child_r = cur.restrictions[j].intersect(tree.supports[child].restrictions[j])
-                    if child_r.is_empty():
-                        continue
-                    if x_partial[j] is not None and not child_r.contains(x_partial[j]):
-                        continue
-                    children.append((child, child_r))
-                if not gf and children:
-                    c_t = cur.intersect(tree.supports[node.right])
-                    c_f = cur.intersect(tree.supports[node.left])
-                    p_hat = approx_branch_prob(
-                        uniform_mass(forest.schema, c_t),
-                        uniform_mass(forest.schema, tree.supports[node.right]),
-                        uniform_mass(forest.schema, c_f),
-                        uniform_mass(forest.schema, tree.supports[node.left]),
-                        forest.arc_p[t_idx][node_id],
-                    )
-                for child, child_r in children:
-                    child_sup = cur.replace(j, child_r)
-                    if gf:
-                        sub = cur_aux[forest.node_member_mask(t_idx, child)[cur_aux]]
-                        if len(sub) == 0:
-                            continue
-                        stack.append((child, child_sup, sub))
-                    else:
-                        p = p_hat if child == node.right else 1.0 - p_hat
-                        if p == 0.0:
-                            continue
-                        stack.append((child, child_sup, cur_aux * p))
-        states = new_states
-    if gf:
-        return [ConditionalTuple(s, len(rows) / forest.dataset.m) for s, rows in states]
-    return [ConditionalTuple(s, p) for s, p in states]
+    tuples = forest.leaf_tuples(x_partial, prune_empty=True)
+    if forest.mode == "gf":
+        return [ConditionalTuple(sup, len(rows) / forest.dataset.m) for _, sup, rows in tuples]
+    return [ConditionalTuple(sup, p) for _, sup, p in tuples]
 
 
 def _pick_tuple(tuples: list[ConditionalTuple], missing: list[int], rng: np.random.Generator) -> ConditionalTuple:

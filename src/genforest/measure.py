@@ -37,6 +37,12 @@ class NumericInterval:
         else:
             lo, lo_open = self.lo, self.lo_open or other.lo_open
         hi = min(self.hi, other.hi)
+        # hand back an operand when the result has exactly its fields: saves
+        # an allocation on the partition walks; intervals are immutable
+        if lo is self.lo and hi is self.hi and lo_open == self.lo_open:
+            return self
+        if lo is other.lo and hi is other.hi and lo_open == other.lo_open:
+            return other
         return NumericInterval(lo, hi, lo_open)
 
 
@@ -54,6 +60,8 @@ class IntRange:
         return self.b < self.a
 
     def intersect(self, other: "IntRange") -> "IntRange":
+        if other.a <= self.a and self.b <= other.b:
+            return self
         return IntRange(max(self.a, other.a), min(self.b, other.b))
 
     def count(self) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, INTEGER, Dataset, Schema
-from .forest import GenerativeForest, PartitionElement, approx_branch_prob
+from .forest import GenerativeForest, PartitionElement
 from .measure import Support, uniform_mass
 
 
@@ -39,22 +39,7 @@ def init_sampling(forest: GenerativeForest) -> SamplerState:
 def branch_probability(forest: GenerativeForest, state: SamplerState, t_idx: int) -> float:
     """Head probability of the Bernoulli choosing the right branch at the
     current node of tree ``t_idx`` given the current support."""
-    tree = forest.trees[t_idx]
-    node = tree.nodes[state.positions[t_idx]]
-    assert not node.is_leaf
-    if forest.mode == "gf":
-        n_right = int(forest.node_member_mask(t_idx, node.right)[state.rows].sum())
-        assert len(state.rows) > 0, "unreachable: empty support during sampling"
-        return n_right / len(state.rows)
-    c_t = state.support.intersect(tree.supports[node.right])
-    c_f = state.support.intersect(tree.supports[node.left])
-    return approx_branch_prob(
-        uniform_mass(forest.schema, c_t),
-        uniform_mass(forest.schema, tree.supports[node.right]),
-        uniform_mass(forest.schema, c_f),
-        uniform_mass(forest.schema, tree.supports[node.left]),
-        forest.arc_p[t_idx][state.positions[t_idx]],
-    )
+    return forest.branch_prob(t_idx, state.positions[t_idx], state.support, state.rows)
 
 
 def star_update(forest: GenerativeForest, state: SamplerState, t_idx: int, rng: np.random.Generator) -> None:

@@ -179,11 +179,23 @@ def _affected_cells(trees, skip_tree, support, rows, ds, assign) -> Cells:
     schema = ds.schema
     if not other:
         return _build_cells(trees, [], support, np.zeros((1, 0), dtype=np.int32), [rows], schema)
-    labels = np.stack([assign[t][rows] for t in other], axis=1)
-    uniq, inverse = np.unique(labels, axis=0, return_inverse=True)
+    # one integer key per row, mixed radix over the other trees' node ids,
+    # ranks the rows' leaf-id tuples lexicographically; the key is renumbered
+    # densely whenever the next digit could overflow it
+    key = np.zeros(len(rows), dtype=np.int64)
+    bound = 1
+    for t in other:
+        n_nodes = len(trees[t].nodes)
+        if bound * n_nodes >= 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = len(rows)
+        key = key * n_nodes + assign[t][rows]
+        bound *= n_nodes
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    uniq = np.stack([assign[t][rows[first]] for t in other], axis=1)
     order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(uniq) + 1))
-    row_lists = [rows[np.sort(order[bounds[i]:bounds[i + 1]])] for i in range(len(uniq))]
+    bounds = np.searchsorted(inverse[order], np.arange(len(first) + 1))
+    row_lists = [rows[np.sort(order[bounds[i]:bounds[i + 1]])] for i in range(len(first))]
     return _build_cells(trees, other, support, uniq.astype(np.int32), row_lists, schema)
 
 
@@ -200,9 +212,28 @@ def _flatten_cells(cells: Cells, col):
     return cells.sizes, cell_flat, col[rows_flat]
 
 
+# elements per candidate block in _score_numeric: about 10 float temporaries
+# of this size stay in a 2 MB cache
+_SCORE_BLOCK = 1 << 14
+
+
+def _candidate_blocks(n_cells: int, k: int):
+    """Column ranges covering ``k`` candidates in blocks of about
+    ``_SCORE_BLOCK`` (cell, candidate) pairs. No block has a single column
+    unless ``k`` is 1: a one-column sum over cells may reduce in another order
+    than a column of a wider block, and every candidate's delta must not
+    depend on the block it lands in."""
+    width = max(2, _SCORE_BLOCK // max(n_cells, 1))
+    starts = list(range(0, k, width))
+    if len(starts) > 1 and k - starts[-1] < 2:
+        starts.pop()
+    return zip(starts, starts[1:] + [k])
+
+
 def _score_numeric(cells: Cells, j, dom, cand, col, loss, pi, m):
     """Risk delta of every candidate threshold, vectorized over (cell,
-    candidate). ``col`` is the full-length routing column (no missing)."""
+    candidate) in cache-sized candidate blocks. ``col`` is the full-length
+    routing column (no missing)."""
     n_cells, k = len(cells), len(cand)
     fracs = cells.fracs
     u_rest = np.prod(np.delete(fracs, j, axis=1), axis=1)  # (n_cells,)
@@ -213,32 +244,38 @@ def _score_numeric(cells: Cells, j, dom, cand, col, loss, pi, m):
     # per-cell left counts for all candidates at once
     bins = np.searchsorted(cand, vals, side="left")
     hist = np.bincount(cell_flat * (k + 1) + bins, minlength=n_cells * (k + 1))
-    n_left = np.cumsum(hist.reshape(n_cells, k + 1), axis=1)[:, :k]
-    r_l = n_left / m
-    r_r = (sizes[:, None] - n_left) / m
+    n_left_all = np.cumsum(hist.reshape(n_cells, k + 1), axis=1)
 
     if dom.kind == INTEGER:
         _, ia, ib = cells.restr[j]
         a, b = ia.astype(float), ib.astype(float)
         width = dom.n_values()
         span = (b - a + 1.0)[:, None]
-        c_left = np.clip(np.floor(cand)[None, :] - a[:, None] + 1.0, 0.0, span)
-        u_l = u_rest[:, None] * c_left / width
-        u_r = u_rest[:, None] * (span - c_left) / width
     else:
         _, lo, hi = cells.restr[j]
         width = dom.hi - dom.lo
-        if width > 0:
-            cut = np.clip(cand[None, :], lo[:, None], hi[:, None])
+
+    deltas = np.empty(k)
+    for c0, c1 in _candidate_blocks(n_cells, k):
+        n_left = n_left_all[:, c0:c1]
+        r_l = n_left / m
+        r_r = (sizes[:, None] - n_left) / m
+        if dom.kind == INTEGER:
+            c_left = np.clip(np.floor(cand[c0:c1])[None, :] - a[:, None] + 1.0, 0.0, span)
+            u_l = u_rest[:, None] * c_left / width
+            u_r = u_rest[:, None] * (span - c_left) / width
+        elif width > 0:
+            cut = np.clip(cand[None, c0:c1], lo[:, None], hi[:, None])
             u_l = u_rest[:, None] * (cut - lo[:, None]) / width
             u_r = u_rest[:, None] * (hi[:, None] - cut) / width
         else:
-            u_l = np.zeros((n_cells, k))
-            u_r = np.zeros((n_cells, k))
+            u_l = np.zeros((n_cells, c1 - c0))
+            u_r = np.zeros((n_cells, c1 - c0))
+        post = cell_risk(loss, r_l, u_l, pi) + cell_risk(loss, r_r, u_r, pi)
+        deltas[c0:c1] = post.sum(axis=0)
 
     pre = cell_risk(loss, sizes / m, u_rest * fracs[:, j], pi)
-    post = cell_risk(loss, r_l, u_l, pi) + cell_risk(loss, r_r, u_r, pi)
-    return post.sum(axis=0) - float(np.sum(pre))
+    return deltas - float(np.sum(pre))
 
 
 def _score_categorical(cells: Cells, j, dom, subsets, col, loss, pi, m):
@@ -419,8 +456,6 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[GenerativeForest, list[SplitRe
         raise ValueError("empty dataset")
     loss = get_loss(cfg.loss)
     trees = [Tree(ds.schema) for _ in range(cfg.n_trees)]
-    for t in trees:
-        t.nodes[0].count = ds.m
     leaf_rows: list[dict[int, np.ndarray]] = [{0: np.arange(ds.m)} for _ in trees]
     assign = [np.zeros(ds.m, dtype=np.int32) for _ in trees]
     route = ds.routing_columns()
@@ -453,8 +488,6 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[GenerativeForest, list[SplitRe
             rows_r = rows[~go_left]
             assign[t_idx][rows_r] = ri
             assign[t_idx][rows_l] = li
-            tree.nodes[li].count = len(rows_l)
-            tree.nodes[ri].count = len(rows_r)
             leaf_rows[t_idx][li] = rows_l
             leaf_rows[t_idx][ri] = rows_r
 

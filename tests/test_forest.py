@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from genforest.data import DataError, dataset_from_rows, REAL
+from genforest.data import DataError, dataset_from_rows, synth_domain, REAL
 from genforest.forest import GenerativeForest, SplitPredicate, Tree
 from genforest.measure import uniform_mass
+from genforest.trainer import TrainConfig, full_poprisk, get_loss, train
 
 
 def _manual_forest(toy2d, preds):
@@ -119,6 +122,39 @@ class TestSerialization:
         a = forest.enumerate_partition()
         b = back.enumerate_partition()
         assert [(e.leaf_ids, e.count) for e in a] == [(e.leaf_ids, e.count) for e in b]
+
+    def test_roundtrip_keeps_node_ids(self, tmp_path):
+        # the heaviest-leaf rule splits these trees out of depth-first order,
+        # so a loader that rebuilds depth-first would renumber their nodes
+        ds = synth_domain("ringGauss", seed=0)
+        cfg = TrainConfig(n_trees=2, n_splits=20, seed=0)
+        forest, _ = train(ds, cfg)
+        p = tmp_path / "model.json"
+        forest.save(p)
+        back = GenerativeForest.load(p, dataset=ds)
+        for t, u in zip(forest.trees, back.trees):
+            assert [(n.pred, n.left, n.right) for n in t.nodes] == [(n.pred, n.left, n.right) for n in u.nodes]
+        a = forest.enumerate_partition(prune_zero_count=True)
+        b = back.enumerate_partition(prune_zero_count=True)
+        assert [(e.leaf_ids, e.count) for e in a] == [(e.leaf_ids, e.count) for e in b]
+        loss = get_loss(cfg.loss)
+        assert full_poprisk(back, loss) == full_poprisk(forest, loss)
+        eogt = forest.to_eogt()
+        eogt.save(p)
+        back = GenerativeForest.load(p)
+        for i in range(0, ds.m, 97):
+            assert back.density(ds.row(i)) == eogt.density(ds.row(i))
+
+    def test_invalid_split_sequence(self, toy_forest, tmp_path):
+        forest, _ = toy_forest
+        p = tmp_path / "model.json"
+        forest.save(p)
+        doc = json.loads(p.read_text())
+        root = doc["trees"][0]["nodes"][0]
+        root["left"], root["right"] = root["right"], root["left"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            GenerativeForest.load(p, dataset=forest.dataset)
 
     def test_byte_identical_saves(self, toy_forest, tmp_path):
         forest, _ = toy_forest

@@ -34,6 +34,21 @@ class TestConditionalTuples:
         for t in tuples:
             assert t.support.restrictions[0].contains(0.15)
 
+    def test_unobserved_gf_walk_is_the_pruned_partition(self, toy_forest, toy2d):
+        forest, _ = toy_forest
+        tuples = conditional_tuples(forest, [None] * forest.schema.d)
+        elems = forest.enumerate_partition(prune_zero_count=True)
+        assert [(t.support, t.mass) for t in tuples] == [(e.support, e.count / toy2d.m) for e in elems]
+
+    def test_complete_row_eogt_mass_is_its_density(self, toy_forest, toy2d):
+        eogt = toy_forest[0].to_eogt()
+        for i in range(toy2d.m):
+            row = toy2d.row(i)
+            (t,) = conditional_tuples(eogt, row)
+            elem = eogt.partition_element_of(row)
+            assert t.support == elem.support
+            assert eogt.density(row) == (t.mass / (elem.umass * eogt.domain_volume()), False)
+
     def test_eogt_masses_sum_to_one(self, toy_forest):
         forest, _ = toy_forest
         tuples = conditional_tuples(forest.to_eogt(), [None, None])

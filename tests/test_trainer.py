@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from genforest.data import CATEGORICAL, REAL, dataset_from_rows
+from genforest import trainer
+from genforest.data import CATEGORICAL, INTEGER, REAL, dataset_from_rows
 from genforest.forest import GenerativeForest, SplitPredicate, Tree
 from genforest.measure import get_loss
 from genforest.trainer import (
@@ -135,3 +136,59 @@ class TestHelpers:
         lines = p.read_text().strip().split("\n")
         assert len(lines) == len(history) + 1
         assert lines[0].startswith("iteration,tree,leaf,feature")
+
+
+class TestScoringInternals:
+    @staticmethod
+    def _mixed_forest(n_trees, n_splits):
+        rng = np.random.default_rng(3)
+        rows = [[int(rng.integers(0, 40)), float(rng.normal())] for _ in range(300)]
+        ds = dataset_from_rows(["a", "b"], [INTEGER, REAL], rows)
+        forest, _ = train(ds, TrainConfig(n_trees=n_trees, n_splits=n_splits, seed=0))
+        return ds, forest
+
+    def test_candidate_blocks_tile_without_single_columns(self):
+        for n_cells, k in [(1, 1), (1, 2), (3, 7), (5000, 3), (5000, 9), (20000, 5), (100, 1000)]:
+            blocks = list(trainer._candidate_blocks(n_cells, k))
+            assert blocks[0][0] == 0 and blocks[-1][1] == k
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert all(c1 - c0 >= 2 for c0, c1 in blocks) or k == 1
+
+    @pytest.mark.parametrize("loss_name", ["square", "log"])
+    def test_candidate_blocks_do_not_change_deltas(self, monkeypatch, loss_name):
+        # every candidate's delta must be bit for bit the same whether it is
+        # scored in one block or in many two-column blocks
+        ds, forest = self._mixed_forest(n_trees=3, n_splits=12)
+        assign = trainer._assignment_arrays(forest.leaf_rows, ds.m)
+        route = ds.routing_columns()
+        loss = get_loss(loss_name)
+        for t_idx, per_tree in enumerate(forest.leaf_rows):
+            for leaf, rows in per_tree.items():
+                sup = forest.trees[t_idx].supports[leaf]
+                cells = trainer._affected_cells(forest.trees, t_idx, sup, rows, ds, assign)
+                for j, dom in enumerate(ds.schema.domains):
+                    cand = trainer._numeric_candidates(route[j][rows])
+                    if len(cand) < 3:
+                        continue
+                    monkeypatch.setattr(trainer, "_SCORE_BLOCK", 1 << 30)
+                    whole = trainer._score_numeric(cells, j, dom, cand, route[j], loss, 0.5, ds.m)
+                    monkeypatch.setattr(trainer, "_SCORE_BLOCK", 2)
+                    blocked = trainer._score_numeric(cells, j, dom, cand, route[j], loss, 0.5, ds.m)
+                    assert np.array_equal(whole, blocked)
+
+    def test_affected_cells_in_lexicographic_leaf_order(self):
+        # 42 stumps: the mixed-radix key over 41 other trees of 3 nodes each
+        # passes 2**62 and is renumbered on the way
+        ds, forest = self._mixed_forest(n_trees=42, n_splits=42)
+        assert all(len(t.nodes) == 3 for t in forest.trees)
+        assign = trainer._assignment_arrays(forest.leaf_rows, ds.m)
+        for t_idx in (0, 41):
+            for leaf, rows in forest.leaf_rows[t_idx].items():
+                sup = forest.trees[t_idx].supports[leaf]
+                cells = trainer._affected_cells(forest.trees, t_idx, sup, rows, ds, assign)
+                other = [t for t in range(42) if t != t_idx]
+                labels = np.stack([assign[t][rows] for t in other], axis=1)
+                uniq, inverse = np.unique(labels, axis=0, return_inverse=True)
+                assert len(cells) == len(uniq)
+                for i, cell_rows in enumerate(cells.rows):
+                    assert np.array_equal(cell_rows, rows[inverse.ravel() == i])
