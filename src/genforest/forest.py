@@ -4,6 +4,7 @@ model (de)serialization."""
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +158,62 @@ class PartitionElement:
         return sum(t.nodes[l].depth for t, l in zip(forest.trees, self.leaf_ids))
 
 
+class WalkNode:
+    """A state of the GF sampler in iterative tree order, at tree ``t_idx``
+    and its node ``node``, where the ``count`` training rows still inside
+    split between both sides of the node (a branching node: the right side
+    is taken with probability ``p``), or where every tree has reached a leaf
+    (a terminal cell: ``p`` is None and ``support`` is the cell).
+
+    The edge into a node is its parent's coin followed by ``skip`` forced
+    steps, at which every row went the same way; ``checks`` pairs each
+    feature split on along that edge with its restriction at this node.
+    A branching node holds its ``support`` and ``rows`` until it is
+    expanded; then ``children`` is its (left, right) pair."""
+
+    __slots__ = ("t_idx", "node", "p", "count", "skip", "checks", "support", "rows", "children")
+
+    def __init__(self, t_idx, node, p, count, skip, checks, support, rows):
+        self.t_idx = t_idx
+        self.node = node
+        self.p = p
+        self.count = count
+        self.skip = skip
+        self.checks = checks
+        self.support = support
+        self.rows = rows
+        self.children = None
+
+
+def assignment_arrays(leaf_rows, m: int) -> list[np.ndarray]:
+    """Per-tree row -> leaf-id arrays derived from the disjoint leaf row
+    lists."""
+    out = []
+    for per_tree in leaf_rows:
+        arr = np.full(m, -1, dtype=np.int32)
+        for leaf, rows in per_tree.items():
+            arr[rows] = leaf
+        out.append(arr)
+    return out
+
+
+def _preorder(tree: Tree) -> np.ndarray:
+    """Left-first preorder index of every node. A subtree occupies a
+    contiguous index range whose right-child subtree is its upper part, so a
+    row under a node lies on its right side iff its leaf's index is at least
+    the right child's."""
+    pre = np.empty(len(tree.nodes), dtype=np.int32)
+    stack, k = [tree.root], 0
+    while stack:
+        i = stack.pop()
+        pre[i] = k
+        k += 1
+        n = tree.nodes[i]
+        if not n.is_leaf:
+            stack.extend((n.right, n.left))
+    return pre
+
+
 def approx_branch_prob(u_ct: float, u_right: float, u_cf: float, u_left: float, p_arc: float) -> float:
     """Uniform-corrected branch probability of an ensemble of generative
     trees: p_U[C_t|X_r] p / (p_U[C_t|X_r] p + p_U[C_f|X_l] (1 - p))."""
@@ -193,6 +250,11 @@ class GenerativeForest:
         self.leaf_rows = leaf_rows
         self.arc_p = arc_p
         self._node_masks: list[dict[int, np.ndarray]] = [{} for _ in trees]
+        # GF walk tree, built lazily by walk_root / walk_children
+        self._walk_lock = threading.Lock()
+        self._walk_root: WalkNode | None = None
+        self._walk_keys: list[np.ndarray] | None = None
+        self._walk_pre: list[list[int]] | None = None
         if mode == "gf":
             if dataset is None or leaf_rows is None:
                 raise ValueError("gf mode needs the dataset binding")
@@ -294,6 +356,95 @@ class GenerativeForest:
                         stack.append((child, child_sup, child_aux))
             states = new_states
         return states
+
+    # -- the cached GF walk ------------------------------------------------------
+
+    def walk_root(self) -> WalkNode:
+        """First branching node (or the only cell) of the GF sampler's walk in
+        iterative tree order, built on first use. The walk is a fixed
+        function of the model: every branching node splits a non-empty row
+        set into two non-empty parts, so it never holds more than m - 1
+        branching nodes and m cells."""
+        root = self._walk_root
+        if root is None:
+            with self._walk_lock:
+                if self._walk_root is None:
+                    m = self.dataset.m
+                    pre = [_preorder(t) for t in self.trees]
+                    self._walk_keys = [p[a] for p, a in zip(pre, assignment_arrays(self.leaf_rows, m))]
+                    self._walk_pre = [p.tolist() for p in pre]
+                    self._walk_root = self._walk_run(0, 0, Support.full(self.schema), np.arange(m), 0, {})
+                root = self._walk_root
+        return root
+
+    def walk_children(self, node: WalkNode) -> tuple[WalkNode, WalkNode]:
+        """(left, right) children of a branching walk node, expanded on first
+        use under the forest's lock."""
+        children = node.children
+        if children is None:
+            with self._walk_lock:
+                if node.children is None:
+                    self._walk_expand(node)
+                children = node.children
+        return children
+
+    def walk_cells(self, observed) -> list[WalkNode]:
+        """Terminal walk cells whose support holds the observed values
+        (``observed[j]`` a raw value, or None), in the order of
+        ``leaf_tuples(observed, prune_empty=True)``. A forced run is kept iff
+        its end support holds the observed values of the features it split
+        on: restrictions only shrink along a path, so this is the per-step
+        test of ``leaf_tuples``."""
+        out = []
+        stack = [self.walk_root()]
+        while stack:
+            node = stack.pop()
+            for j, r in node.checks:
+                x = observed[j]
+                if x is not None and not r.contains(x):
+                    break
+            else:
+                if node.p is None:
+                    out.append(node)
+                else:
+                    # (left, right): the right side is explored first
+                    stack.extend(node.children or self.walk_children(node))
+        return out
+
+    def _walk_expand(self, node: WalkNode) -> None:
+        tree = self.trees[node.t_idx]
+        n = tree.nodes[node.node]
+        j = n.pred.feature
+        sup, rows = node.support, node.rows
+        right = self._walk_keys[node.t_idx][rows] >= self._walk_pre[node.t_idx][n.right]
+        children = []
+        for child, side in ((n.left, rows[~right]), (n.right, rows[right])):
+            r = sup.restrictions[j].intersect(tree.supports[child].restrictions[j])
+            children.append(self._walk_run(node.t_idx, child, sup.replace(j, r), side, 0, {j: r}))
+        # only cells need a support; the rows live on in the children
+        node.support = node.rows = None
+        node.children = tuple(children)
+
+    def _walk_run(self, t_idx, node, sup, rows, skip, checks) -> WalkNode:
+        """Follow the forced steps from a sampler state to the next branching
+        node or to the cell where every tree sits at a leaf."""
+        while t_idx < self.T:
+            tree = self.trees[t_idx]
+            n = tree.nodes[node]
+            if n.is_leaf:
+                t_idx, node = t_idx + 1, tree.root  # every tree's root is node 0
+                continue
+            n_right = int(np.count_nonzero(self._walk_keys[t_idx][rows] >= self._walk_pre[t_idx][n.right]))
+            if 0 < n_right < len(rows):
+                return WalkNode(t_idx, node, n_right / len(rows), len(rows), skip, tuple(checks.items()), sup, rows)
+            child = n.right if n_right else n.left
+            j = n.pred.feature
+            r = sup.restrictions[j].intersect(tree.supports[child].restrictions[j])
+            sup = sup.replace(j, r)
+            checks[j] = r
+            skip += 1
+            node = child
+        return WalkNode(t_idx, -1, None, len(rows), skip, tuple(checks.items()), sup, None)
 
     def enumerate_partition(self, cap: int = PARTITION_CAP_DEFAULT, prune_zero_count: bool = False):
         """All non-empty leaf-tuple support intersections. GF mode attaches
@@ -456,22 +607,54 @@ class GenerativeForest:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read model {path}: {e}") from e
-        if doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
             raise DataError("not a recognized model file")
+        try:
+            return cls._from_doc(doc, dataset)
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            what = f"missing key {e}" if isinstance(e, KeyError) else f"{type(e).__name__}: {e}"
+            raise DataError(f"malformed model {path}: {what}") from e
+
+    @classmethod
+    def _from_doc(cls, doc: dict, dataset: Dataset | None) -> "GenerativeForest":
         schema = _schema_from_doc(doc["schema"])
         trees = [_tree_from_doc(schema, td) for td in doc["trees"]]
         if doc["mode"] == "eogt":
             arc_p = [{int(i): p for i, p in probs.items()} for probs in doc["arc_p"]]
+            if len(arc_p) != len(trees) or any(
+                set(probs) != {i for i, n in enumerate(t.nodes) if not n.is_leaf} for t, probs in zip(trees, arc_p)
+            ):
+                raise DataError("arc probabilities do not match the internal nodes of the trees")
             return cls(schema, trees, pi=doc["pi"], mode="eogt", arc_p=arc_p)
         if dataset is None:
             raise DataError("gf model requires the training dataset")
         if dataset.content_hash() != doc["data_hash"]:
             raise DataError("training data hash mismatch: dataset changed since the model was saved")
-        leaf_rows = [
-            {int(l): np.asarray(rows, dtype=np.int64) for l, rows in per_tree.items()}
-            for per_tree in doc["leaf_rows"]
-        ]
+        leaf_rows = [{int(l): _row_array(rows) for l, rows in per_tree.items()} for per_tree in doc["leaf_rows"]]
+        _check_leaf_rows(trees, leaf_rows, dataset.m)
         return cls(schema, trees, pi=doc["pi"], mode="gf", dataset=dataset, leaf_rows=leaf_rows)
+
+
+def _row_array(rows) -> np.ndarray:
+    arr = np.asarray(rows)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise DataError("leaf rows must be lists of row indices")
+    return arr.astype(np.int64)
+
+
+def _check_leaf_rows(trees: list[Tree], leaf_rows: list[dict[int, np.ndarray]], m: int) -> None:
+    """Each tree binds rows to its own leaves only, and its leaf row lists
+    partition the m training rows (the walk's row -> leaf arrays read every
+    row's leaf)."""
+    if len(leaf_rows) != len(trees):
+        raise DataError(f"{len(leaf_rows)} leaf row maps for {len(trees)} trees")
+    for t_idx, (tree, per_tree) in enumerate(zip(trees, leaf_rows)):
+        for leaf in per_tree:
+            if not (0 <= leaf < len(tree.nodes) and tree.nodes[leaf].is_leaf):
+                raise DataError(f"tree {t_idx}: rows bound to node {leaf}, which is not a leaf")
+        rows = np.concatenate([np.empty(0, dtype=np.int64), *per_tree.values()])
+        if len(rows) != m or not np.array_equal(np.sort(rows), np.arange(m)):
+            raise DataError(f"tree {t_idx}: leaf rows do not partition the {m} training rows")
 
 
 def _schema_to_doc(schema: Schema) -> dict:

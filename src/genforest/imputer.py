@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, INTEGER, MISSING_CODE, Dataset
+from .data import CATEGORICAL, INTEGER, MISSING_CODE, DataError, Dataset
 from .forest import GenerativeForest
 from .measure import Support, restriction_uniform_fraction
 from .sampler import draw_uniform
@@ -43,15 +43,16 @@ def raw_row(ds: Dataset, i: int) -> list:
 
 def conditional_tuples(forest: GenerativeForest, x_partial) -> list[ConditionalTuple]:
     """Leaf tuples whose support is consistent with the observed features.
-    GF mode attaches exact empirical masses (zero-mass tuples dropped); EOGT
-    mode attaches the chained branch-probability approximation."""
-    tuples = forest.leaf_tuples(x_partial, prune_empty=True)
+    GF mode attaches exact empirical masses (zero-mass tuples dropped), read
+    off the forest's cached walk; EOGT mode attaches the chained
+    branch-probability approximation."""
     if forest.mode == "gf":
-        return [ConditionalTuple(sup, len(rows) / forest.dataset.m) for _, sup, rows in tuples]
-    return [ConditionalTuple(sup, p) for _, sup, p in tuples]
+        m = forest.dataset.m
+        return [ConditionalTuple(cell.support, cell.count / m) for cell in forest.walk_cells(x_partial)]
+    return [ConditionalTuple(sup, p) for _, sup, p in forest.leaf_tuples(x_partial, prune_empty=True)]
 
 
-def _pick_tuple(tuples: list[ConditionalTuple], missing: list[int], rng: np.random.Generator) -> ConditionalTuple:
+def _pick_tuple(tuples: list[ConditionalTuple], x_partial, missing: list[int], rng: np.random.Generator) -> ConditionalTuple:
     """Maximal-density tuple, uniform random among near-ties. Zero-volume
     tuples with positive mass dominate every finite density (point masses)."""
     points = [t for t in tuples if t.mass > 0 and t.missing_volume(missing) == 0]
@@ -60,7 +61,8 @@ def _pick_tuple(tuples: list[ConditionalTuple], missing: list[int], rng: np.rand
         tied = [t for t in points if t.mass >= best * (1 - TIE_REL_TOL)]
     else:
         scored = [(t.mass / t.missing_volume(missing), t) for t in tuples if t.mass > 0]
-        assert scored, "no consistent tuple with positive mass"
+        if not scored:
+            raise DataError(f"no cell consistent with the observed values {x_partial} holds training mass")
         best = max(s for s, _ in scored)
         tied = [t for s, t in scored if s >= best * (1 - TIE_REL_TOL)]
     return tied[int(rng.integers(len(tied)))]
@@ -73,7 +75,7 @@ def impute(forest: GenerativeForest, x_partial, rng: np.random.Generator) -> lis
     if not missing:
         return list(x_partial)
     tuples = conditional_tuples(forest, x_partial)
-    win = _pick_tuple(tuples, missing, rng)
+    win = _pick_tuple(tuples, x_partial, missing, rng)
     filled = draw_uniform(forest.schema, win.support, rng)
     return [filled[j] if x_partial[j] is None else x_partial[j] for j in range(forest.schema.d)]
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, INTEGER, Dataset, Schema
-from .forest import GenerativeForest, PartitionElement
+from .forest import GenerativeForest, PartitionElement, WalkNode
 from .measure import Support, uniform_mass
 
 
@@ -25,6 +25,16 @@ class SamplerState:
 
     def finished(self, forest: GenerativeForest) -> bool:
         return all(t.is_leaf(p) for t, p in zip(forest.trees, self.positions))
+
+
+class WalkCursor:
+    """GF sampler state in iterative tree order: a node of the forest's
+    cached walk tree (``GenerativeForest.walk_root``)."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: WalkNode):
+        self.node = node
 
 
 def init_sampling(forest: GenerativeForest) -> SamplerState:
@@ -42,9 +52,20 @@ def branch_probability(forest: GenerativeForest, state: SamplerState, t_idx: int
     return forest.branch_prob(t_idx, state.positions[t_idx], state.support, state.rows)
 
 
-def star_update(forest: GenerativeForest, state: SamplerState, t_idx: int, rng: np.random.Generator) -> None:
+def star_update(
+    forest: GenerativeForest, state: SamplerState | WalkCursor, t_idx: int, rng: np.random.Generator
+) -> None:
     """Advance tree ``t_idx`` one level: flip the branch Bernoulli and shrink
-    the support accordingly. In place."""
+    the support accordingly. In place. On a walk cursor the level is the
+    branching walk node's coin and the forced steps after it, each of which
+    consumes one draw as a step of the stepping path does."""
+    if type(state) is WalkCursor:
+        node = state.node
+        child = (node.children or forest.walk_children(node))[rng.random() < node.p]
+        if child.skip:
+            rng.random(child.skip)
+        state.node = child
+        return
     tree = forest.trees[t_idx]
     node = tree.nodes[state.positions[t_idx]]
     p = branch_probability(forest, state, t_idx)
@@ -96,6 +117,14 @@ def draw_uniform(schema: Schema, support: Support, rng: np.random.Generator) -> 
 
 
 def sample_one(forest: GenerativeForest, rng: np.random.Generator, order: str = "iterative") -> list:
+    if forest.mode == "gf" and order == "iterative":
+        # the cached walk gives the stepping path's draws and cell, bit for bit
+        state = WalkCursor(forest.walk_root())
+        if state.node.skip:
+            rng.random(state.node.skip)
+        while state.node.p is not None:
+            star_update(forest, state, state.node.t_idx, rng)
+        return draw_uniform(forest.schema, state.node.support, rng)
     state = init_sampling(forest)
     update_support(forest, state, rng, order=order)
     return draw_uniform(forest.schema, state.support, rng)

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .data import CATEGORICAL, INTEGER, Dataset
-from .forest import GenerativeForest, SplitPredicate, Tree
+from .forest import GenerativeForest, SplitPredicate, Tree, assignment_arrays
 from .measure import (
     LossSpec,
     Support,
@@ -93,18 +93,6 @@ def write_history_csv(history: list[SplitRecord], path) -> None:
 
 # ---------------------------------------------------------------------------
 # split scoring
-
-
-def _assignment_arrays(leaf_rows, m):
-    """Per-tree row -> leaf-id arrays derived from the disjoint leaf row
-    lists."""
-    out = []
-    for per_tree in leaf_rows:
-        arr = np.full(m, -1, dtype=np.int32)
-        for leaf, rows in per_tree.items():
-            arr[rows] = leaf
-        out.append(arr)
-    return out
 
 
 class Cells:
@@ -405,7 +393,7 @@ def risk_delta(forest: GenerativeForest, t_idx: int, leaf: int, pred: SplitPredi
     GF; restricted to the affected cells, exact."""
     rows = forest.leaf_rows[t_idx][leaf]
     tree = forest.trees[t_idx]
-    assign = _assignment_arrays(forest.leaf_rows, forest.dataset.m)
+    assign = assignment_arrays(forest.leaf_rows, forest.dataset.m)
     cells = _affected_cells(forest.trees, t_idx, tree.supports[leaf], rows, forest.dataset, assign)
     j = pred.feature
     dom = forest.schema.domains[j]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genforest.data import CATEGORICAL, REAL, Dataset, dataset_from_rows
+from genforest.data import CATEGORICAL, INTEGER, REAL, Dataset, dataset_from_rows, synth_domain
 from genforest.trainer import TrainConfig, train
 
 
@@ -23,6 +23,31 @@ def mixed_ds() -> Dataset:
         [0.6, "a"], [0.7, None], [0.8, "c"], [0.9, "b"], [1.0, "a"],
     ]
     return dataset_from_rows(["v", "k"], [REAL, CATEGORICAL], rows)
+
+
+@pytest.fixture
+def holes_ds() -> Dataset:
+    """240 mixed real / integer / categorical rows driven by a latent class,
+    with about 5 % of the cells missing."""
+    rng = np.random.default_rng(11)
+    rows = []
+    for _ in range(240):
+        z = int(rng.integers(3))
+        row = [
+            float(rng.normal(2.0 * z, 0.6)),
+            int(np.clip(round(rng.normal(5 * z + 3, 2.0)), 0, 14)),
+            f"c{(z + int(rng.random() < 0.2)) % 4}",
+        ]
+        rows.append([None if rng.random() < 0.05 else v for v in row])
+    return dataset_from_rows(["r", "i", "c"], [REAL, INTEGER, CATEGORICAL], rows)
+
+
+@pytest.fixture(params=["ring2d", "mixed_holes"])
+def walk_forest(request, holes_ds):
+    """A 2-D forest and a mixed forest trained on a table with holes."""
+    if request.param == "ring2d":
+        return train(synth_domain("ringGauss", seed=0), TrainConfig(n_trees=4, n_splits=40, seed=0))[0]
+    return train(holes_ds, TrainConfig(n_trees=3, n_splits=30, cat_cutoff=4, seed=0))[0]
 
 
 @pytest.fixture

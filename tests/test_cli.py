@@ -125,6 +125,19 @@ class TestExitCodes:
                     "--out", str(tmp_path / "g.csv")])
         assert code == 3
 
+    def test_model_missing_a_key(self, tmp_path):
+        model = tmp_path / "m.json"
+        model.write_text('{"format": "genforest-model", "version": 1, "mode": "eogt", "pi": 0.5}')
+        code = run(["generate", "--model", str(model), "--n", "5", "--out", str(tmp_path / "g.csv")])
+        assert code == 3
+
+    def test_impute_without_a_consistent_cell(self, tmp_path, toy_csv, model_path):
+        data = tmp_path / "far.csv"
+        data.write_text("x,y\n5.0,\n0.15,0.25\n")
+        code = run(["impute", "--model", str(model_path), "--train", str(toy_csv),
+                    "--data", str(data), "--out", str(tmp_path / "imp.csv")])
+        assert code == 3
+
     def test_density_rejects_missing_cells(self, tmp_path, toy_csv, model_path, mixed_ds):
         holes = tmp_path / "holes.csv"
         mixed_ds.to_csv(holes)

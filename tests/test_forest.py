@@ -181,6 +181,39 @@ class TestSerialization:
         assert back.mode == "eogt"
         assert back.arc_p == eogt.arc_p
 
+    def test_missing_key(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"format": "genforest-model", "version": 1, "mode": "eogt", "pi": 0.5}))
+        with pytest.raises(DataError, match="schema"):
+            GenerativeForest.load(p)
+
+    @pytest.mark.parametrize("edit", ["duplicate", "drop", "not_a_leaf"])
+    def test_leaf_rows_must_partition_the_rows(self, toy_forest, tmp_path, edit):
+        forest, _ = toy_forest
+        p = tmp_path / "model.json"
+        forest.save(p)
+        doc = json.loads(p.read_text())
+        per_tree = doc["leaf_rows"][1]
+        a, b = sorted(per_tree, key=lambda l: -len(per_tree[l]))[:2]
+        if edit == "duplicate":
+            per_tree[b].append(per_tree[a][0])
+        elif edit == "drop":
+            per_tree[a].pop()
+        else:
+            per_tree["0"] = per_tree.pop(a)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="tree 1"):
+            GenerativeForest.load(p, dataset=forest.dataset)
+
+    def test_arc_p_must_cover_the_internal_nodes(self, toy_forest, tmp_path):
+        p = tmp_path / "eogt.json"
+        toy_forest[0].to_eogt().save(p)
+        doc = json.loads(p.read_text())
+        doc["arc_p"][1].pop("0")
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="arc probabilities"):
+            GenerativeForest.load(p)
+
     def test_garbage_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genforest.data import CATEGORICAL, MISSING_CODE, REAL, apply_mcar, dataset_from_rows
+from genforest.data import CATEGORICAL, MISSING_CODE, REAL, DataError, apply_mcar, dataset_from_rows
 from genforest.imputer import (
     conditional_tuples,
     impute,
@@ -40,6 +40,16 @@ class TestConditionalTuples:
         elems = forest.enumerate_partition(prune_zero_count=True)
         assert [(t.support, t.mass) for t in tuples] == [(e.support, e.count / toy2d.m) for e in elems]
 
+    def test_gf_walk_equals_leaf_tuples_on_masked_rows(self, walk_forest):
+        ds = walk_forest.dataset
+        masked, _ = apply_mcar(ds, 0.4, seed=3)
+        m = ds.m
+        for i in range(0, m, max(1, m // 150)):
+            x = raw_row(masked, i)
+            got = [(t.support.key(), t.mass) for t in conditional_tuples(walk_forest, x)]
+            want = [(sup.key(), len(rows) / m) for _, sup, rows in walk_forest.leaf_tuples(x, prune_empty=True)]
+            assert got == want
+
     def test_complete_row_eogt_mass_is_its_density(self, toy_forest, toy2d):
         eogt = toy_forest[0].to_eogt()
         for i in range(toy2d.m):
@@ -68,6 +78,13 @@ class TestImpute:
         forest, _ = toy_forest
         rng = np.random.default_rng(0)
         assert impute(forest, [0.15, 0.25], rng) == [0.15, 0.25]
+
+    def test_no_consistent_cell_is_a_data_error(self, toy_forest):
+        # every cell of the toy forest splits on x, and none holds x = 5
+        forest, _ = toy_forest
+        assert conditional_tuples(forest, [5.0, None]) == []
+        with pytest.raises(DataError, match=r"\[5\.0, None\]"):
+            impute(forest, [5.0, None], np.random.default_rng(0))
 
     def test_dataset_thread_determinism(self, toy2d):
         forest, _ = train(toy2d, TrainConfig(n_trees=2, n_splits=4, seed=0))

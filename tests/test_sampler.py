@@ -1,14 +1,50 @@
+import sys
+
 import numpy as np
 import pytest
 
+from genforest.data import apply_mcar, synth_domain
+from genforest.forest import GenerativeForest
+from genforest.imputer import impute_dataset
 from genforest.measure import NumericInterval, Support
 from genforest.sampler import (
     draw_uniform,
     generate,
+    init_sampling,
     path_interleavings,
     sample_one,
     support_distribution,
+    update_support,
 )
+from genforest.trainer import TrainConfig, train
+
+
+def stepping_generate(forest, n, seed):
+    """Reference: one star update per tree step over the surviving rows,
+    with the per-row streams of ``generate``."""
+    out = []
+    for stream in np.random.SeedSequence(seed).spawn(n):
+        rng = np.random.default_rng(stream)
+        state = init_sampling(forest)
+        update_support(forest, state, rng)
+        out.append(draw_uniform(forest.schema, state.support, rng))
+    return generate_columns(forest, out)
+
+
+def generate_columns(forest, rows):
+    return [np.array([r[j] for r in rows], dtype=c.dtype)
+            for j, c in enumerate(forest.dataset.columns)]
+
+
+def walk_nodes(forest):
+    """Every node of the fully expanded walk tree."""
+    out, stack = [], [forest.walk_root()]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if node.p is not None:
+            stack.extend(forest.walk_children(node))
+    return out
 
 
 class TestSupportDistribution:
@@ -60,6 +96,60 @@ class TestGenerate:
         out = generate(forest, 10, seed=0)
         assert out.schema.names == toy2d.schema.names
         assert out.m == 10
+
+
+class TestWalk:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_generate_equals_stepping_path(self, walk_forest, seed):
+        got = generate(walk_forest, 150, seed=seed)
+        want = stepping_generate(walk_forest, 150, seed)
+        assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want]
+
+    def test_size_bound_after_full_expansion(self, walk_forest):
+        nodes = walk_nodes(walk_forest)
+        m = walk_forest.dataset.m
+        branching = [n for n in nodes if n.p is not None]
+        cells = [n for n in nodes if n.p is None]
+        assert len(branching) <= m - 1
+        assert len(cells) == len(branching) + 1
+        assert sum(c.count for c in cells) == m
+        assert all(0 < n.p < 1 and n.rows is None and n.support is None for n in branching)
+        assert all(c.support is not None and c.rows is None for c in cells)
+
+    def test_built_lazily(self, toy2d):
+        forest, _ = train(toy2d, TrainConfig(n_trees=2, n_splits=3, seed=0))
+        assert forest._walk_root is None
+        generate(forest, 1, seed=0)
+        assert forest._walk_root is not None
+
+    def test_threads_on_a_fresh_walk(self, monkeypatch):
+        # many workers expanding fresh walks, switching threads often: every
+        # node is expanded exactly once and the bytes match one thread
+        ds = synth_domain("circGauss", seed=1)
+        cfg = TrainConfig(n_trees=4, n_splits=40, seed=0)
+        masked, _ = apply_mcar(ds, 0.3, seed=2)
+        expanded = []  # the nodes themselves, so that no id is reused
+        expand = GenerativeForest._walk_expand
+
+        def counted(self, node):
+            expanded.append(node)
+            expand(self, node)
+
+        monkeypatch.setattr(GenerativeForest, "_walk_expand", counted)
+        outputs = []
+        for threads in (1, 4, 4, 4):
+            forest, _ = train(ds, cfg)
+            expanded.clear()
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                gen = generate(forest, 300, seed=3, threads=threads)
+                imp = impute_dataset(forest, masked, seed=4, threads=threads)
+            finally:
+                sys.setswitchinterval(old)
+            assert expanded and len({id(n) for n in expanded}) == len(expanded)
+            outputs.append([c.tobytes() for c in gen.columns + imp.columns])
+        assert all(out == outputs[0] for out in outputs[1:])
 
 
 class TestPrimitives:

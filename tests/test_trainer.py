@@ -3,7 +3,7 @@ import pytest
 
 from genforest import trainer
 from genforest.data import CATEGORICAL, INTEGER, REAL, dataset_from_rows
-from genforest.forest import GenerativeForest, SplitPredicate, Tree
+from genforest.forest import GenerativeForest, SplitPredicate, Tree, assignment_arrays
 from genforest.measure import get_loss
 from genforest.trainer import (
     TrainConfig,
@@ -159,7 +159,7 @@ class TestScoringInternals:
         # every candidate's delta must be bit for bit the same whether it is
         # scored in one block or in many two-column blocks
         ds, forest = self._mixed_forest(n_trees=3, n_splits=12)
-        assign = trainer._assignment_arrays(forest.leaf_rows, ds.m)
+        assign = assignment_arrays(forest.leaf_rows, ds.m)
         route = ds.routing_columns()
         loss = get_loss(loss_name)
         for t_idx, per_tree in enumerate(forest.leaf_rows):
@@ -181,7 +181,7 @@ class TestScoringInternals:
         # passes 2**62 and is renumbered on the way
         ds, forest = self._mixed_forest(n_trees=42, n_splits=42)
         assert all(len(t.nodes) == 3 for t in forest.trees)
-        assign = trainer._assignment_arrays(forest.leaf_rows, ds.m)
+        assign = assignment_arrays(forest.leaf_rows, ds.m)
         for t_idx in (0, 41):
             for leaf, rows in forest.leaf_rows[t_idx].items():
                 sup = forest.trees[t_idx].supports[leaf]
