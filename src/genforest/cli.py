@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -173,8 +172,10 @@ def cmd_convert(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="genforest", description=__doc__)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads; results are identical for any value")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for generate and impute (default 1: the work is "
+                        "pure Python, so more threads contend for the interpreter lock and "
+                        "run slower); results are identical for any value")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="fit a model to a CSV")

@@ -108,7 +108,10 @@ def draw_uniform(schema: Schema, support: Support, rng: np.random.Generator) -> 
     out = []
     for dom, r in zip(schema.domains, support.restrictions):
         if dom.kind == CATEGORICAL:
-            out.append(int(rng.choice(sorted(r.codes))))
+            # the draw and stream state of rng.choice(codes), without its
+            # conversion of the list to an array
+            codes = sorted(r.codes)
+            out.append(int(codes[rng.integers(len(codes))]))
         elif dom.kind == INTEGER:
             out.append(int(rng.integers(r.a, r.b + 1)))
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, groupby
 
 import numpy as np
 
@@ -97,8 +97,9 @@ def write_history_csv(history: list[SplitRecord], path) -> None:
 
 class Cells:
     """Array-backed view of the partition cells affected by one leaf split:
-    per-cell row index arrays, per-feature restriction bounds (numeric) or
-    modality masks (categorical), and per-feature uniform fractions."""
+    the rows of every cell, grouped cell after cell, with per-cell sizes,
+    per-feature restriction bounds (numeric) or modality masks (categorical),
+    and per-feature uniform fractions."""
 
     __slots__ = ("rows", "sizes", "fracs", "restr")
 
@@ -109,13 +110,13 @@ class Cells:
         self.restr = restr
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.sizes)
 
 
-def _build_cells(trees, other, support, combos, row_lists, schema):
+def _build_cells(trees, other, support, combos, rows, sizes, schema):
     """Assemble a Cells block from leaf-id combinations over the other trees
     by intersecting restriction bounds feature-wise, vectorized over cells."""
-    n = len(row_lists)
+    n = len(sizes)
     restr = []
     fracs = np.empty((n, schema.d))
     for j, dom in enumerate(schema.domains):
@@ -155,8 +156,7 @@ def _build_cells(trees, other, support, combos, row_lists, schema):
             restr.append(("num", lo, hi))
             width = dom.hi - dom.lo
             fracs[:, j] = np.maximum(hi - lo, 0.0) / width if width > 0 else 1.0
-    sizes = np.array([len(r) for r in row_lists])
-    return Cells(row_lists, sizes, fracs, restr)
+    return Cells(rows, sizes, fracs, restr)
 
 
 def _affected_cells(trees, skip_tree, support, rows, ds, assign) -> Cells:
@@ -164,9 +164,8 @@ def _affected_cells(trees, skip_tree, support, rows, ds, assign) -> Cells:
     their leaf assignment in every other tree. Zero-count cells carry zero
     risk before and after any split, so they never materialize."""
     other = [t for t in range(len(trees)) if t != skip_tree]
-    schema = ds.schema
     if not other:
-        return _build_cells(trees, [], support, np.zeros((1, 0), dtype=np.int32), [rows], schema)
+        return _one_cell(trees, support, rows, ds.schema)
     # one integer key per row, mixed radix over the other trees' node ids,
     # ranks the rows' leaf-id tuples lexicographically; the key is renumbered
     # densely whenever the next digit could overflow it
@@ -181,27 +180,31 @@ def _affected_cells(trees, skip_tree, support, rows, ds, assign) -> Cells:
         bound *= n_nodes
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     uniq = np.stack([assign[t][rows[first]] for t in other], axis=1)
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(first) + 1))
-    row_lists = [rows[np.sort(order[bounds[i]:bounds[i + 1]])] for i in range(len(first))]
-    return _build_cells(trees, other, support, uniq.astype(np.int32), row_lists, schema)
+    # a stable sort groups the rows cell after cell, each cell in row order
+    grouped = rows[np.argsort(inverse, kind="stable")]
+    sizes = np.bincount(inverse, minlength=len(first))
+    return _build_cells(trees, other, support, uniq.astype(np.int32), grouped, sizes, ds.schema)
 
 
-def _leaf_only_cells(trees, t_idx, leaf, rows, schema) -> Cells:
+def _one_cell(trees, support, rows, schema) -> Cells:
     return _build_cells(
-        trees, [], trees[t_idx].supports[leaf], np.zeros((1, 0), dtype=np.int32), [rows], schema
+        trees, [], support, np.zeros((1, 0), dtype=np.int32), rows, np.array([len(rows)]), schema
     )
 
 
+def _leaf_only_cells(trees, t_idx, leaf, rows, schema) -> Cells:
+    return _one_cell(trees, trees[t_idx].supports[leaf], rows, schema)
+
+
 def _flatten_cells(cells: Cells, col):
-    """Concatenate the cells' column values with their cell ids."""
-    rows_flat = np.concatenate(cells.rows)
+    """The cells' column values, grouped by cell, with their cell ids."""
     cell_flat = np.repeat(np.arange(len(cells)), cells.sizes)
-    return cells.sizes, cell_flat, col[rows_flat]
+    return cells.sizes, cell_flat, col[cells.rows]
 
 
-# elements per candidate block in _score_numeric: about 10 float temporaries
-# of this size stay in a 2 MB cache
+# (cell, candidate) pairs per candidate block in _score_numeric and (subset,
+# cell) pairs per subset chunk in _score_categorical: a block and the float
+# temporaries of its size stay in a 2 MB cache
 _SCORE_BLOCK = 1 << 14
 
 
@@ -219,56 +222,105 @@ def _candidate_blocks(n_cells: int, k: int):
 
 
 def _score_numeric(cells: Cells, j, dom, cand, col, loss, pi, m):
-    """Risk delta of every candidate threshold, vectorized over (cell,
-    candidate) in cache-sized candidate blocks. ``col`` is the full-length
-    routing column (no missing)."""
+    """Risk delta of every (sorted) candidate threshold. ``col`` is the
+    full-length routing column (no missing).
+
+    A candidate below a cell's range on feature j, or at or above its top,
+    sends the whole cell to one side, and the other side is empty with zero
+    risk; such a pair adds the cell's unsplit risk. ``cell_risk`` runs only at
+    the in-range pairs, which are one contiguous run of candidates per cell.
+    Each candidate block is filled with the per-cell constants, the in-range
+    risks are scattered into it, and its columns are summed over cells in cell
+    order, as over the dense (cell, candidate) matrix, so every delta is the
+    dense one to the last bit."""
     n_cells, k = len(cells), len(cand)
     fracs = cells.fracs
     u_rest = np.prod(np.delete(fracs, j, axis=1), axis=1)  # (n_cells,)
 
-    sizes, cell_flat, vals = _flatten_cells(cells, col)
-    # value v reaches the left child of candidate t_k iff v <= t_k, i.e. for
-    # every bin index >= searchsorted(cand, v); histogram + cumsum gives the
-    # per-cell left counts for all candidates at once
-    bins = np.searchsorted(cand, vals, side="left")
-    hist = np.bincount(cell_flat * (k + 1) + bins, minlength=n_cells * (k + 1))
-    n_left_all = np.cumsum(hist.reshape(n_cells, k + 1), axis=1)
-
     if dom.kind == INTEGER:
         _, ia, ib = cells.restr[j]
-        a, b = ia.astype(float), ib.astype(float)
+        lo, hi = ia.astype(float), ib.astype(float)
         width = dom.n_values()
-        span = (b - a + 1.0)[:, None]
+        span = hi - lo + 1.0
+        u_whole = u_rest * span / width
     else:
         _, lo, hi = cells.restr[j]
         width = dom.hi - dom.lo
+        u_whole = u_rest * (hi - lo) / width if width > 0 else np.zeros(n_cells)
+    sizes, cell_flat, vals = _flatten_cells(cells, col)
+    whole = cell_risk(loss, sizes / m, u_whole, pi)
 
+    # candidate t splits cell i iff lo_i <= t < hi_i (for integers, iff
+    # a_i <= floor(t) < b_i); value v reaches the left child iff v <= t, i.e.
+    # iff its bin searchsorted(cand, v) is <= t's index, so a cell's left
+    # count is a rank among the sorted (cell, bin) keys
+    first = np.searchsorted(cand, lo, side="left")
+    stop = np.searchsorted(cand, hi, side="left")
+    keys = np.sort(cell_flat * (k + 1) + np.searchsorted(cand, vals, side="left"))
+    cell_start = np.cumsum(sizes) - sizes
+
+    # in-range pairs before each candidate; consecutive blocks starting in
+    # the same _SCORE_BLOCK pairs are scored in one pass, so that blocks with
+    # few in-range pairs share the numpy calls and memory stays near a block's
+    cover = np.cumsum(np.bincount(first, minlength=k + 1) - np.bincount(stop, minlength=k + 1))
+    pairs_before = np.concatenate([[0], np.cumsum(cover[:k])])
     deltas = np.empty(k)
-    for c0, c1 in _candidate_blocks(n_cells, k):
-        n_left = n_left_all[:, c0:c1]
+    blocks = _candidate_blocks(n_cells, k)
+    for _, batch in groupby(blocks, key=lambda b: pairs_before[b[0]] // _SCORE_BLOCK):
+        # the batch's in-range pairs, ordered by candidate
+        batch = list(batch)
+        t0, t1 = batch[0][0], batch[-1][1]
+        p0 = np.maximum(first, t0)
+        n_in = np.maximum(np.minimum(stop, t1) - p0, 0)
+        ci = np.repeat(np.arange(n_cells), n_in)
+        ti = np.arange(len(ci)) + np.repeat(p0 - (np.cumsum(n_in) - n_in), n_in)
+        n_left = np.searchsorted(keys, ci * (k + 1) + ti, side="right") - cell_start[ci]
         r_l = n_left / m
-        r_r = (sizes[:, None] - n_left) / m
+        r_r = (sizes[ci] - n_left) / m
+        # an in-range candidate cuts inside the cell, so no clipping to it
         if dom.kind == INTEGER:
-            c_left = np.clip(np.floor(cand[c0:c1])[None, :] - a[:, None] + 1.0, 0.0, span)
-            u_l = u_rest[:, None] * c_left / width
-            u_r = u_rest[:, None] * (span - c_left) / width
-        elif width > 0:
-            cut = np.clip(cand[None, c0:c1], lo[:, None], hi[:, None])
-            u_l = u_rest[:, None] * (cut - lo[:, None]) / width
-            u_r = u_rest[:, None] * (hi[:, None] - cut) / width
+            c_left = np.floor(cand[ti]) - lo[ci] + 1.0
+            u_l = u_rest[ci] * c_left / width
+            u_r = u_rest[ci] * (span[ci] - c_left) / width
         else:
-            u_l = np.zeros((n_cells, c1 - c0))
-            u_r = np.zeros((n_cells, c1 - c0))
-        post = cell_risk(loss, r_l, u_l, pi) + cell_risk(loss, r_r, u_r, pi)
-        deltas[c0:c1] = post.sum(axis=0)
+            u_l = u_rest[ci] * (cand[ti] - lo[ci]) / width
+            u_r = u_rest[ci] * (hi[ci] - cand[ti]) / width
+        risk = cell_risk(loss, r_l, u_l, pi) + cell_risk(loss, r_r, u_r, pi)
+        by_cand = np.argsort(ti, kind="stable")
+        ci, ti, risk = ci[by_cand], ti[by_cand], risk[by_cand]
+        bounds = np.searchsorted(ti, [c0 for c0, _ in batch] + [t1])
+        for (c0, c1), q0, q1 in zip(batch, bounds, bounds[1:]):
+            post = np.repeat(whole[:, None], c1 - c0, axis=1)
+            post[ci[q0:q1], ti[q0:q1] - c0] = risk[q0:q1]
+            deltas[c0:c1] = post.sum(axis=0)
 
     pre = cell_risk(loss, sizes / m, u_rest * fracs[:, j], pi)
     return deltas - float(np.sum(pre))
 
 
+def _subset_rows(subsets, n_cats):
+    """(len(subsets), n_cats) 0/1 float matrix of the right-branch codes."""
+    lens = np.fromiter(map(len, subsets), dtype=np.intp, count=len(subsets))
+    codes = np.fromiter(chain.from_iterable(subsets), dtype=np.intp, count=int(lens.sum()))
+    out = np.zeros((len(subsets), n_cats))
+    out[np.repeat(np.arange(len(subsets)), lens), codes] = 1.0
+    return out
+
+
+def _subset_chunks(n_subsets, n_cells):
+    """Subset ranges of about ``_SCORE_BLOCK`` (subset, cell) pairs each."""
+    step = max(1, _SCORE_BLOCK // max(n_cells, 1))
+    return ((s0, min(s0 + step, n_subsets)) for s0 in range(0, n_subsets, step))
+
+
 def _score_categorical(cells: Cells, j, dom, subsets, col, loss, pi, m):
     """Risk delta of every candidate right-branch subset. ``col`` is the
-    full-length routing column (no missing)."""
+    full-length routing column (no missing).
+
+    Each chunk of subsets is one (subsets, cells) block: the children's row
+    and modality counts are products of the 0/1 subset rows with the per-cell
+    code counts and modality masks, sums of integers and hence exact, and each
+    subset's risk is summed over its contiguous row of cells."""
     n_cats = len(dom.categories)
     n_cells = len(cells)
     fracs = cells.fracs
@@ -277,20 +329,19 @@ def _score_categorical(cells: Cells, j, dom, subsets, col, loss, pi, m):
     counts = np.bincount(
         cell_flat * n_cats + vals.astype(np.int64), minlength=n_cells * n_cats
     ).reshape(n_cells, n_cats).astype(float)
-    sel = cells.restr[j][1]
+    sel = cells.restr[j][1].astype(float)
     pre = float(np.sum(cell_risk(loss, sizes / m, u_rest * fracs[:, j], pi)))
 
     deltas = np.empty(len(subsets))
-    for s_idx, sub in enumerate(subsets):
-        a = np.zeros(n_cats, dtype=bool)
-        a[list(sub)] = True
-        r_r = counts[:, a].sum(axis=1) / m
-        r_l = counts[:, ~a].sum(axis=1) / m
-        u_r = u_rest * (sel & a).sum(axis=1) / n_cats
-        u_l = u_rest * (sel & ~a).sum(axis=1) / n_cats
-        deltas[s_idx] = (
-            cell_risk(loss, r_r, u_r, pi).sum() + cell_risk(loss, r_l, u_l, pi).sum() - pre
-        )
+    for s0, s1 in _subset_chunks(len(subsets), n_cells):
+        right = _subset_rows(subsets[s0:s1], n_cats)
+        left = 1.0 - right
+        r_r = (right @ counts.T) / m
+        r_l = (left @ counts.T) / m
+        u_r = u_rest * (right @ sel.T) / n_cats
+        u_l = u_rest * (left @ sel.T) / n_cats
+        post_r = cell_risk(loss, r_r, u_r, pi).sum(axis=1)
+        deltas[s0:s1] = post_r + cell_risk(loss, r_l, u_l, pi).sum(axis=1) - pre
     return deltas
 
 
@@ -356,12 +407,12 @@ def split_pred(trees, t_idx, leaf, rows, ds, cfg, loss, iteration, assign):
                 continue
             # admissibility: both children keep >= min_child_rows rows
             cnts = np.bincount(col.astype(np.int64), minlength=len(dom.categories))
-            kept_sets = []
-            for sub in subsets:
-                n_r = int(cnts[list(sub)].sum())
-                n_l = len(rows) - n_r
-                if n_r >= cfg.min_child_rows and n_l >= cfg.min_child_rows:
-                    kept_sets.append(sub)
+            n_r = np.concatenate([
+                _subset_rows(subsets[s0:s1], len(dom.categories)) @ cnts
+                for s0, s1 in _subset_chunks(len(subsets), 1)
+            ])
+            ok = (n_r >= cfg.min_child_rows) & (len(rows) - n_r >= cfg.min_child_rows)
+            kept_sets = [sub for sub, keep in zip(subsets, ok) if keep]
             if not kept_sets:
                 continue
             deltas = _score_categorical(cells, j, dom, kept_sets, route[j], loss, cfg.pi, m)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genforest.cli import run
+from genforest.cli import build_parser, run
 from genforest.data import apply_mcar, load_csv, save_mask
 
 
@@ -144,3 +144,11 @@ class TestExitCodes:
         code = run(["density", "--model", str(model_path), "--train", str(toy_csv),
                     "--data", str(holes)])
         assert code == 3
+
+
+def test_threads_default_to_one():
+    # pool threads contend for the interpreter lock, so one thread is the
+    # fastest default; outputs are the same for any value
+    args = build_parser().parse_args(["generate", "--model", "m.json", "--train", "t.csv",
+                                      "--n", "1", "--out", "o.csv"])
+    assert args.threads == 1

@@ -3,10 +3,10 @@ import sys
 import numpy as np
 import pytest
 
-from genforest.data import apply_mcar, synth_domain
+from genforest.data import CATEGORICAL, FeatureDomain, Schema, apply_mcar, synth_domain
 from genforest.forest import GenerativeForest
 from genforest.imputer import impute_dataset
-from genforest.measure import NumericInterval, Support
+from genforest.measure import CatSubset, NumericInterval, Support
 from genforest.sampler import (
     draw_uniform,
     generate,
@@ -159,6 +159,23 @@ class TestPrimitives:
         for _ in range(50):
             v = draw_uniform(toy2d.schema, sup, rng)
             assert sup.contains(v)
+
+    def test_draw_uniform_category_matches_rng_choice(self):
+        # a categorical draw gives the value rng.choice gives on the sorted
+        # codes and leaves the stream where rng.choice leaves it
+        dom = FeatureDomain(CATEGORICAL, categories=tuple(f"k{i}" for i in range(40)))
+        schema = Schema(("c",), (dom,))
+        pick = np.random.default_rng(123)
+        code_sets = [frozenset({7})] + [
+            frozenset(pick.choice(40, size=int(pick.integers(1, 41)), replace=False).tolist())
+            for _ in range(60)
+        ]
+        for codes in code_sets:
+            sup = Support(schema, (CatSubset(codes),))
+            for seed in range(50):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert draw_uniform(schema, sup, rng) == [int(ref.choice(sorted(codes)))]
+                assert rng.random() == ref.random()
 
     def test_sample_one_in_domain(self, toy_forest):
         forest, _ = toy_forest
