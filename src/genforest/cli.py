@@ -84,7 +84,7 @@ def cmd_generate(args) -> int:
 
 def cmd_impute(args) -> int:
     forest = _load_model(args.model, args.train)
-    ds = load_csv(args.data)
+    ds = load_csv(args.data, schema=forest.schema)
     if args.mask:
         mask = load_mask(args.mask)
         if mask.shape != (ds.m, ds.d):
@@ -103,13 +103,15 @@ def cmd_impute(args) -> int:
 
 def cmd_density(args) -> int:
     forest = _load_model(args.model, args.train)
-    ds = load_csv(args.data)
+    ds = load_csv(args.data, schema=forest.schema)
     if ds.missing_mask().any():
         raise DataError("density requires complete observations")
     rows = []
     for i in range(ds.m):
-        val, point = forest.density(imputer.raw_row(ds, i))
-        rows.append((val, point))
+        try:
+            rows.append(forest.density(imputer.raw_row(ds, i)))
+        except ValueError as e:  # a value outside the model's domain
+            raise DataError(f"row {i + 2}: {e}") from e
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -123,8 +125,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_eval_impute_metrics(args) -> int:
-    imputed = load_csv(args.imputed)
     truth = load_csv(args.truth)
+    imputed = load_csv(args.imputed, schema=truth.schema)
     mask = load_mask(args.mask)
     out = {
         "perr": evaluator.perr(imputed, truth, mask),

@@ -239,10 +239,34 @@ def _infer_column(tokens: list[str]) -> str:
     return REAL if any_real else INTEGER
 
 
-def load_csv(path, missing_token: str = "", extra_missing_tokens: tuple[str, ...] = ("?",)) -> Dataset:
-    """Load a header-ed CSV, infer feature types and learn domains from the
-    non-missing entries. Cells equal to ``missing_token`` (or any token in
-    ``extra_missing_tokens``) become missing."""
+def _encode_column(name: str, kind: str, categories, raw: list[str], missing: set[str]) -> np.ndarray:
+    """One feature's tokens as a column: a categorical token becomes its index
+    in ``categories``, a numeric token a finite float (an integer feature
+    reads integer tokens only), a missing token MISSING_CODE / NaN."""
+    if kind == CATEGORICAL:
+        code = {c: k for k, c in enumerate(categories)}
+        code.update(dict.fromkeys(missing, MISSING_CODE))
+        vals, what = [code.get(t) for t in raw], "a known category"
+    else:
+        vals = [np.nan if t in missing else _parse_float(t) for t in raw]
+        if kind == INTEGER:  # integer tokens only, as the type rules read them
+            vals = [None if t not in missing and _parse_int(t) is None else v for t, v in zip(raw, vals)]
+        what = "an integer" if kind == INTEGER else "a finite number"
+    if None in vals:
+        i = vals.index(None)
+        raise DataError(f"row {i + 2}, column {name!r}: {raw[i]!r} is not {what}")
+    return np.array(vals, dtype=np.int32 if kind == CATEGORICAL else np.float64)
+
+
+def load_csv(
+    path, missing_token: str = "", extra_missing_tokens: tuple[str, ...] = ("?",), schema: Schema | None = None
+) -> Dataset:
+    """Load a header-ed CSV. Without ``schema``, infer feature types and learn
+    domains from the non-missing entries. With ``schema`` (a model's), the
+    header must list its features in order and tokens are encoded through it,
+    so categorical codes mean what they mean to the model; numeric values
+    outside its domains are kept. Cells equal to ``missing_token`` (or any
+    token in ``extra_missing_tokens``) become missing."""
     missing = {missing_token, *extra_missing_tokens}
     try:
         with open(path, newline="") as fh:
@@ -260,25 +284,29 @@ def load_csv(path, missing_token: str = "", extra_missing_tokens: tuple[str, ...
         raise DataError("no data rows")
 
     names = tuple(header)
+    if schema is not None and names != schema.names:
+        raise DataError(f"header {list(names)} does not match the features {list(schema.names)}")
     domains = []
     columns = []
-    for j in range(d):
+    for j, name in enumerate(names):
         raw = [r[j] for r in body]
+        if schema is not None:
+            dom = schema.domains[j]
+            columns.append(_encode_column(name, dom.kind, dom.categories, raw, missing))
+            continue
         present = [t for t in raw if t not in missing]
         if not present:
-            raise DataError(f"column {header[j]!r} is entirely missing")
+            raise DataError(f"column {name!r} is entirely missing")
         kind = _infer_column(present)
+        cats = tuple(sorted(set(present))) if kind == CATEGORICAL else None
+        col = _encode_column(name, kind, cats, raw, missing)
         if kind == CATEGORICAL:
-            cats = tuple(sorted(set(present)))
-            code = {c: k for k, c in enumerate(cats)}
-            col = np.array([MISSING_CODE if t in missing else code[t] for t in raw], dtype=np.int32)
             domains.append(FeatureDomain(CATEGORICAL, categories=cats))
         else:
-            col = np.array([np.nan if t in missing else float(t) for t in raw], dtype=np.float64)
             vals = col[~np.isnan(col)]
             domains.append(FeatureDomain(kind, lo=float(vals.min()), hi=float(vals.max())))
         columns.append(col)
-    return Dataset(Schema(names, domains), columns)
+    return Dataset(Schema(names, domains) if schema is None else schema, columns)
 
 
 def apply_mcar(ds: Dataset, rate: float, seed: int) -> tuple[Dataset, np.ndarray]:

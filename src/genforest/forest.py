@@ -119,18 +119,6 @@ class Tree:
             i = n.right if self.supports[n.right].restrictions[n.pred.feature].contains(values[n.pred.feature]) else n.left
         return i
 
-    def descendant_leaves(self, node: int) -> list[int]:
-        """Leaf ids in the subtree rooted at ``node``."""
-        out, stack = [], [node]
-        while stack:
-            i = stack.pop()
-            n = self.nodes[i]
-            if n.is_leaf:
-                out.append(i)
-            else:
-                stack.extend((n.left, n.right))
-        return out
-
     def path_to(self, leaf: int) -> list[int]:
         """Node ids from root (exclusive) down to ``leaf`` (inclusive)."""
         parents = {}
@@ -153,9 +141,6 @@ class PartitionElement:
     count: int | None
     umass: float
     rows: np.ndarray | None = None
-
-    def depth(self, forest: "GenerativeForest") -> int:
-        return sum(t.nodes[l].depth for t, l in zip(forest.trees, self.leaf_ids))
 
 
 class WalkNode:
@@ -197,11 +182,12 @@ def assignment_arrays(leaf_rows, m: int) -> list[np.ndarray]:
     return out
 
 
-def _preorder(tree: Tree) -> np.ndarray:
-    """Left-first preorder index of every node. A subtree occupies a
-    contiguous index range whose right-child subtree is its upper part, so a
-    row under a node lies on its right side iff its leaf's index is at least
-    the right child's."""
+def _member_cuts(tree: Tree) -> tuple[np.ndarray, list[int], list[bool]]:
+    """Left-first preorder index of every node, and the cut and side (True:
+    upper) that ``GenerativeForest.node_member_mask`` compares a row's key,
+    its leaf's index, with. A subtree occupies a contiguous index range whose
+    right-child subtree is its upper part, so both children of a node cut at
+    the right child's index; the root's upper side of cut 0 holds every row."""
     pre = np.empty(len(tree.nodes), dtype=np.int32)
     stack, k = [tree.root], 0
     while stack:
@@ -211,7 +197,12 @@ def _preorder(tree: Tree) -> np.ndarray:
         n = tree.nodes[i]
         if not n.is_leaf:
             stack.extend((n.right, n.left))
-    return pre
+    cut, upper = [0] * len(tree.nodes), [True] * len(tree.nodes)
+    for n in tree.nodes:
+        if not n.is_leaf:
+            cut[n.left] = cut[n.right] = int(pre[n.right])
+            upper[n.left] = False
+    return pre, cut, upper
 
 
 def approx_branch_prob(u_ct: float, u_right: float, u_cf: float, u_left: float, p_arc: float) -> float:
@@ -249,12 +240,11 @@ class GenerativeForest:
         self.dataset = dataset
         self.leaf_rows = leaf_rows
         self.arc_p = arc_p
-        self._node_masks: list[dict[int, np.ndarray]] = [{} for _ in trees]
-        # GF walk tree, built lazily by walk_root / walk_children
-        self._walk_lock = threading.Lock()
+        # GF row keys and walk tree, built lazily by _row_keys and
+        # walk_root / walk_children; reentrant, as the walk reads the keys
+        self._lazy_lock = threading.RLock()
+        self._keys: list[tuple[np.ndarray, list[int], list[bool]]] | None = None
         self._walk_root: WalkNode | None = None
-        self._walk_keys: list[np.ndarray] | None = None
-        self._walk_pre: list[list[int]] | None = None
         if mode == "gf":
             if dataset is None or leaf_rows is None:
                 raise ValueError("gf mode needs the dataset binding")
@@ -272,20 +262,23 @@ class GenerativeForest:
 
     # -- partition -----------------------------------------------------------
 
-    def node_member_mask(self, t_idx: int, node: int) -> np.ndarray:
-        """Boolean row mask of the training rows assigned to ``node`` of tree
-        ``t_idx`` (union of its descendant leaves' row lists). GF mode only."""
-        cache = self._node_masks[t_idx]
-        mask = cache.get(node)
-        if mask is None:
-            mask = np.zeros(self.dataset.m, dtype=bool)
-            per_tree = self.leaf_rows[t_idx]
-            for leaf in self.trees[t_idx].descendant_leaves(node):
-                rows = per_tree.get(leaf)
-                if rows is not None and len(rows):
-                    mask[rows] = True
-            cache[node] = mask
-        return mask
+    def _row_keys(self) -> list[tuple[np.ndarray, list[int], list[bool]]]:
+        """Per tree: every training row's key, and the cuts and sides of
+        ``_member_cuts``; built on first use."""
+        if self._keys is None:
+            with self._lazy_lock:
+                if self._keys is None:
+                    leaf_of_row = assignment_arrays(self.leaf_rows, self.dataset.m)
+                    cuts = [_member_cuts(t) for t in self.trees]
+                    self._keys = [(pre[a], cut, upper) for (pre, cut, upper), a in zip(cuts, leaf_of_row)]
+        return self._keys
+
+    def node_member_mask(self, t_idx: int, node: int, rows: np.ndarray) -> np.ndarray:
+        """Which of the training ``rows``, all under the parent of ``node`` of
+        tree ``t_idx``, lie under ``node``: one comparison of each row's leaf
+        preorder key with the node's cut. GF mode only."""
+        keys, cut, upper = self._row_keys()[t_idx]
+        return keys[rows] >= cut[node] if upper[node] else keys[rows] < cut[node]
 
     def branch_prob(self, t_idx: int, node: int, support: Support, rows: np.ndarray | None) -> float:
         """Probability of taking the right branch at internal ``node`` of tree
@@ -296,7 +289,7 @@ class GenerativeForest:
         n = tree.nodes[node]
         assert not n.is_leaf
         if self.mode == "gf":
-            n_right = int(self.node_member_mask(t_idx, n.right)[rows].sum())
+            n_right = int(np.count_nonzero(self.node_member_mask(t_idx, n.right, rows)))
             assert len(rows) > 0, "unreachable: empty support during sampling"
             return n_right / len(rows)
         c_t = support.intersect(tree.supports[n.right])
@@ -334,10 +327,14 @@ class GenerativeForest:
                     j = node.pred.feature
                     x = None if observed is None else observed[j]
                     cur_r = cur.restrictions[j]
+                    if gf:
+                        right = self.node_member_mask(t_idx, node.right, cur_aux)
+                        sides = ((node.left, cur_aux[~right]), (node.right, cur_aux[right]))
+                    else:
+                        sides = ((node.left, None), (node.right, None))
                     children = []
-                    for child in (node.left, node.right):
+                    for child, child_aux in sides:
                         # GF rows first: an empty row set is the cheapest prune
-                        child_aux = cur_aux[self.node_member_mask(t_idx, child)[cur_aux]] if gf else None
                         if gf and prune_empty and len(child_aux) == 0:
                             continue
                         child_r = cur_r.intersect(supports[child].restrictions[j])
@@ -365,28 +362,20 @@ class GenerativeForest:
         function of the model: every branching node splits a non-empty row
         set into two non-empty parts, so it never holds more than m - 1
         branching nodes and m cells."""
-        root = self._walk_root
-        if root is None:
-            with self._walk_lock:
+        if self._walk_root is None:
+            with self._lazy_lock:
                 if self._walk_root is None:
-                    m = self.dataset.m
-                    pre = [_preorder(t) for t in self.trees]
-                    self._walk_keys = [p[a] for p, a in zip(pre, assignment_arrays(self.leaf_rows, m))]
-                    self._walk_pre = [p.tolist() for p in pre]
-                    self._walk_root = self._walk_run(0, 0, Support.full(self.schema), np.arange(m), 0, {})
-                root = self._walk_root
-        return root
+                    self._walk_root = self._walk_run(0, 0, Support.full(self.schema), np.arange(self.dataset.m), 0, {})
+        return self._walk_root
 
     def walk_children(self, node: WalkNode) -> tuple[WalkNode, WalkNode]:
         """(left, right) children of a branching walk node, expanded on first
         use under the forest's lock."""
-        children = node.children
-        if children is None:
-            with self._walk_lock:
+        if node.children is None:
+            with self._lazy_lock:
                 if node.children is None:
                     self._walk_expand(node)
-                children = node.children
-        return children
+        return node.children
 
     def walk_cells(self, observed) -> list[WalkNode]:
         """Terminal walk cells whose support holds the observed values
@@ -416,7 +405,7 @@ class GenerativeForest:
         n = tree.nodes[node.node]
         j = n.pred.feature
         sup, rows = node.support, node.rows
-        right = self._walk_keys[node.t_idx][rows] >= self._walk_pre[node.t_idx][n.right]
+        right = self.node_member_mask(node.t_idx, n.right, rows)
         children = []
         for child, side in ((n.left, rows[~right]), (n.right, rows[right])):
             r = sup.restrictions[j].intersect(tree.supports[child].restrictions[j])
@@ -434,7 +423,7 @@ class GenerativeForest:
             if n.is_leaf:
                 t_idx, node = t_idx + 1, tree.root  # every tree's root is node 0
                 continue
-            n_right = int(np.count_nonzero(self._walk_keys[t_idx][rows] >= self._walk_pre[t_idx][n.right]))
+            n_right = int(np.count_nonzero(self.node_member_mask(t_idx, n.right, rows)))
             if 0 < n_right < len(rows):
                 return WalkNode(t_idx, node, n_right / len(rows), len(rows), skip, tuple(checks.items()), sup, rows)
             child = n.right if n_right else n.left
@@ -462,29 +451,6 @@ class GenerativeForest:
             for leaf_ids, sup, aux in self.leaf_tuples(prune_empty=prune_zero_count, cap=cap)
         ]
 
-    def partition_element_of(self, values) -> PartitionElement:
-        """The unique partition element containing a complete observation."""
-        if not Support.full(self.schema).contains(values):
-            raise ValueError("observation outside the learned domain")
-        leaf_ids = tuple(t.leaf_of(values) for t in self.trees)
-        sup = Support.full(self.schema)
-        for t, l in zip(self.trees, leaf_ids):
-            sup = sup.intersect(t.supports[l])
-        if self.mode == "gf":
-            member = np.ones(self.dataset.m, dtype=bool)
-            for t_idx, leaf in enumerate(leaf_ids):
-                member &= self.node_member_mask(t_idx, leaf)
-            rows = np.flatnonzero(member)
-        else:
-            rows = None
-        return PartitionElement(
-            leaf_ids=leaf_ids,
-            support=sup,
-            count=len(rows) if rows is not None else None,
-            umass=uniform_mass(self.schema, sup),
-            rows=rows,
-        )
-
     # -- density -------------------------------------------------------------
 
     def domain_volume(self) -> float:
@@ -502,33 +468,30 @@ class GenerativeForest:
     def density(self, values) -> tuple[float, bool]:
         """Piecewise-uniform density at a complete observation, w.r.t. the
         natural product measure. Returns (value, point_mass_flag); for a
-        zero-volume cell the cell probability itself is returned."""
-        elem = self.partition_element_of(values)
+        zero-volume cell the cell probability itself is returned. The cell
+        and its mass come from the cached walk (GF), where a complete point
+        passes at most one child of each branching node, or from its single
+        leaf tuple (EOGT)."""
+        full = Support.full(self.schema)
+        for name, r, x in zip(self.schema.names, full.restrictions, values):
+            if not r.contains(x):
+                raise ValueError(f"{name}={x!r} lies outside the learned domain")
         if self.mode == "gf":
-            p_cell = elem.count / self.dataset.m
+            cells = self.walk_cells(values)
+            if cells:
+                (cell,) = cells
+                p_cell, sup = cell.count / self.dataset.m, cell.support
+            else:
+                # a cell without training rows is not on the walk
+                p_cell, sup = 0.0, full
+                for t in self.trees:
+                    sup = sup.intersect(t.supports[t.leaf_of(values)])
         else:
-            p_cell = self._eogt_cell_prob(values)
-        volume = elem.umass * self.domain_volume()
+            ((_, sup, p_cell),) = self.leaf_tuples(values)
+        volume = uniform_mass(self.schema, sup) * self.domain_volume()
         if volume == 0.0:
             return p_cell, True
         return p_cell / volume, False
-
-    def _eogt_cell_prob(self, values) -> float:
-        """Probability the approximate sampler lands in the cell of ``values``,
-        following the deterministic iterative tree order."""
-        cur = Support.full(self.schema)
-        prob = 1.0
-        for t_idx, tree in enumerate(self.trees):
-            node = tree.root
-            while not tree.nodes[node].is_leaf:
-                n = tree.nodes[node]
-                j = n.pred.feature
-                p_hat = self.branch_prob(t_idx, node, cur, None)
-                go_right = tree.supports[n.right].restrictions[j].contains(values[j])
-                prob *= p_hat if go_right else (1.0 - p_hat)
-                node = n.right if go_right else n.left
-                cur = cur.intersect(tree.supports[node])
-        return prob
 
     # -- conversions / summaries --------------------------------------------
 
@@ -566,14 +529,13 @@ class GenerativeForest:
         return counts
 
     def expected_depth(self, cap: int = PARTITION_CAP_DEFAULT) -> float:
-        if self.mode == "gf":
-            elems = self.enumerate_partition(cap=cap)
-            m = self.dataset.m
-            return sum((e.count / m) * e.depth(self) for e in elems)
-        from .sampler import support_distribution
-
-        dist = support_distribution(self)
-        return sum(p * e.depth(self) for e, p in dist)
+        """Summed leaf depth over the trees, in expectation over the cells:
+        weighted by the empirical mass (GF) or the sampler's mass (EOGT)."""
+        gf = self.mode == "gf"
+        return sum(
+            (len(aux) / self.dataset.m if gf else aux) * sum(t.nodes[l].depth for t, l in zip(self.trees, leaf_ids))
+            for leaf_ids, _, aux in self.leaf_tuples(prune_empty=True, cap=cap)
+        )
 
     def leaf_count_summary(self) -> list[int]:
         return [t.n_leaves() for t in self.trees]

@@ -79,7 +79,7 @@ def _descend(forest: GenerativeForest, state: SamplerState, t_idx: int, child: i
     j = tree.nodes[state.positions[t_idx]].pred.feature
     new_r = state.support.restrictions[j].intersect(tree.supports[child].restrictions[j])
     if state.rows is not None:
-        state.rows = state.rows[forest.node_member_mask(t_idx, child)[state.rows]]
+        state.rows = state.rows[forest.node_member_mask(t_idx, child, state.rows)]
     state.support = state.support.replace(j, new_r)
     state.positions[t_idx] = child
 

@@ -3,6 +3,7 @@ import pytest
 
 from genforest.cli import build_parser, run
 from genforest.data import apply_mcar, load_csv, save_mask
+from genforest.forest import GenerativeForest
 
 
 @pytest.fixture
@@ -138,12 +139,62 @@ class TestExitCodes:
                     "--data", str(data), "--out", str(tmp_path / "imp.csv")])
         assert code == 3
 
-    def test_density_rejects_missing_cells(self, tmp_path, toy_csv, model_path, mixed_ds):
+    def test_density_rejects_missing_cells(self, tmp_path, toy_csv, model_path):
         holes = tmp_path / "holes.csv"
-        mixed_ds.to_csv(holes)
+        holes.write_text("x,y\n0.15,0.25\n0.7,\n")
         code = run(["density", "--model", str(model_path), "--train", str(toy_csv),
                     "--data", str(holes)])
         assert code == 3
+
+    @pytest.mark.parametrize("body, message", [
+        ("x,z\n0.15,0.25\n", "does not match"),
+        ("x,y\n0.15,0.25\n0.2,high\n", "row 3, column 'y': 'high'"),
+        ("x,y\n0.15,0.25\n0.2,1.5\n", "row 3: y=1.5"),
+    ], ids=["header", "not-a-number", "outside-the-domain"])
+    def test_density_names_a_bad_query_value(self, tmp_path, toy_csv, model_path, capsys, body, message):
+        data = tmp_path / "q.csv"
+        data.write_text(body)
+        code = run(["density", "--model", str(model_path), "--train", str(toy_csv),
+                    "--data", str(data)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+
+class TestQuerySchema:
+    """Query files are read in the model's schema, whatever categories they
+    happen to hold."""
+
+    @pytest.fixture
+    def cat_model(self, tmp_path):
+        # x <= 0.425 holds only "a"; the other rows mix "b" and "c"
+        train = tmp_path / "cat.csv"
+        rows = [f"{0.05 * i!r},a" for i in range(1, 10)]
+        rows += ["0.55,b", "0.6,b", "0.65,c", "0.7,c", "0.75,b", "0.8,b", "0.85,b", "0.9,c", "0.95,c"]
+        train.write_text("x,c\n" + "\n".join(rows) + "\n")
+        model = tmp_path / "cat.json"
+        assert run(["train", "--data", str(train), "--out", str(model), "--trees", "1", "--splits", "3"]) == 0
+        return model, train
+
+    def test_density_does_not_depend_on_the_other_rows(self, tmp_path, cat_model, capsys):
+        model, train = cat_model
+        answers = []
+        for other in ("0.9,c", "0.2,a"):
+            data = tmp_path / "q.csv"
+            data.write_text(f"x,c\n0.85,b\n{other}\n")
+            capsys.readouterr()
+            assert run(["density", "--model", str(model), "--train", str(train), "--data", str(data)]) == 0
+            answers.append(capsys.readouterr().out.split("\n")[0])
+        forest = GenerativeForest.load(model, dataset=load_csv(train))
+        want = forest.density([0.85, forest.schema.domains[1].categories.index("b")])[0]
+        assert answers == [repr(want)] * 2
+
+    def test_impute_writes_the_model_category(self, tmp_path, cat_model):
+        model, train = cat_model
+        data, out = tmp_path / "holes.csv", tmp_path / "imp.csv"
+        data.write_text("x,c\n0.15,\n0.85,b\n")
+        assert run(["impute", "--model", str(model), "--train", str(train),
+                    "--data", str(data), "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == ["x,c", "0.15,a", "0.85,b"]
 
 
 def test_threads_default_to_one():

@@ -62,6 +62,30 @@ class TestCsv:
         ds = load_csv(path)
         assert ds.is_missing(1, 0)
 
+    def test_given_schema_keeps_its_codes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1,1.5,x\n2,2.5,y\n3,3.5,x\n")
+        schema = load_csv(path).schema
+        path.write_text("a,b,c\n7,-1.0,y\n,2.5,?\n")
+        ds = load_csv(path, schema=schema)
+        assert ds.schema is schema
+        assert ds.columns[2].tolist() == [1, MISSING_CODE]
+        assert ds.columns[0][0] == 7.0 and ds.is_missing(1, 0)  # outside the domain, kept
+
+    @pytest.mark.parametrize("body, message", [
+        ("a,c,b\n1,x,1.5\n", "does not match"),
+        ("a,b,c\n1,1.5,z\n", "column 'c': 'z' is not a known category"),
+        ("a,b,c\n1,1.5,x\n1.5,1.5,x\n", "row 3, column 'a': '1.5' is not an integer"),
+        ("a,b,c\n1,inf,x\n", "column 'b': 'inf' is not a finite number"),
+    ], ids=["header", "category", "integer", "number"])
+    def test_given_schema_names_a_bad_token(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,c\n1,1.5,x\n2,2.5,y\n")
+        schema = load_csv(path).schema
+        path.write_text(body)
+        with pytest.raises(DataError, match=message):
+            load_csv(path, schema=schema)
+
 
 class TestMcar:
     def test_rate_and_determinism(self):

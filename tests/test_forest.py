@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from genforest.data import DataError, dataset_from_rows, synth_domain, REAL
+from genforest.data import CATEGORICAL, INTEGER, DataError, dataset_from_rows, synth_domain, REAL
 from genforest.forest import GenerativeForest, SplitPredicate, Tree
 from genforest.measure import uniform_mass
 from genforest.trainer import TrainConfig, full_poprisk, get_loss, train
+import oracles
+from oracles import node_mask, partition_element_of
 
 
 def _manual_forest(toy2d, preds):
@@ -77,7 +79,7 @@ class TestPartition:
     def test_partition_element_of_membership(self, toy_forest, toy2d):
         forest, _ = toy_forest
         for i in range(toy2d.m):
-            elem = forest.partition_element_of(toy2d.row(i))
+            elem = partition_element_of(forest, toy2d.row(i))
             assert elem.support.contains(toy2d.row(i))
             assert i in set(elem.rows.tolist())
 
@@ -110,6 +112,64 @@ class TestDensity:
                 val, _ = forest.density(mid)
                 total += val * e.umass * vol
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def _query_points(forest, rng):
+        """Complete training rows (holes filled by their routing values),
+        uniform points of the domain, and points on every numeric split
+        boundary."""
+        doms = forest.schema.domains
+        cols = forest.dataset.routing_columns()
+        pts = [
+            [int(c[i]) if d.kind == CATEGORICAL else float(c[i]) for d, c in zip(doms, cols)]
+            for i in range(0, forest.dataset.m, 5)
+        ]
+        for _ in range(200):
+            pts.append([
+                int(rng.integers(len(d.categories))) if d.kind == CATEGORICAL
+                else float(rng.integers(int(d.lo), int(d.hi) + 1)) if d.kind == INTEGER
+                else float(rng.uniform(d.lo, d.hi))
+                for d in doms
+            ])
+        for tree in forest.trees:
+            for n in tree.nodes:
+                if not n.is_leaf and n.pred.threshold is not None:
+                    x = list(pts[int(rng.integers(len(pts)))])
+                    t = n.pred.threshold
+                    x[n.pred.feature] = float(np.floor(t)) if doms[n.pred.feature].kind == INTEGER else t
+                    pts.append(x)
+        return pts
+
+    def test_equals_the_oracle_in_both_modes(self, walk_forest):
+        eogt = walk_forest.to_eogt()
+        points = self._query_points(walk_forest, np.random.default_rng(0))
+        gf_masses = []
+        for x in points:
+            got = walk_forest.density(x)
+            assert got == oracles.density(walk_forest, x)
+            assert eogt.density(x) == oracles.density(eogt, x)
+            gf_masses.append(got[0])
+        # both occupied cells and cells without training rows were queried
+        assert min(gf_masses) == 0.0 < max(gf_masses)
+
+    def test_zero_width_cell_is_a_point_mass(self, toy2d):
+        # x <= 0.10 (the domain's lower end) leaves the closed cell [0.10, 0.10]
+        forest = _manual_forest(toy2d, [(0, 0.10), (1, 0.5)])
+        assert forest.density([0.10, 0.20]) == (1 / 8, True)
+        assert forest.density([0.10, 0.80]) == (0.0, True)  # no training row there
+        for x in ([0.10, 0.20], [0.10, 0.80], [0.10, 0.5], [0.5, 0.5], [0.9, 0.9]):
+            assert forest.density(x) == oracles.density(forest, x)
+        # the EOGT branch probability below a zero-width cell is 0 / 0, so
+        # only the cells beside it are compared
+        eogt = forest.to_eogt()
+        for x in ([0.5, 0.5], [0.9, 0.9], [0.11, 0.2]):
+            assert eogt.density(x) == oracles.density(eogt, x)
+
+    def test_outside_the_domain_names_the_feature(self, toy_forest):
+        forest, _ = toy_forest
+        for f in (forest, forest.to_eogt()):
+            with pytest.raises(ValueError, match=r"y=2\.0"):
+                f.density([0.5, 2.0])
 
 
 class TestSerialization:
@@ -219,6 +279,23 @@ class TestSerialization:
         p.write_text("{not json")
         with pytest.raises(DataError):
             GenerativeForest.load(p)
+
+    def test_node_member_mask_splits_every_node_after_load(self, walk_forest, tmp_path):
+        p = tmp_path / "model.json"
+        walk_forest.save(p)
+        forest = GenerativeForest.load(p, dataset=walk_forest.dataset)
+        m = forest.dataset.m
+        for t_idx, tree in enumerate(forest.trees):
+            assert forest.node_member_mask(t_idx, tree.root, np.arange(m)).all()
+            for node, n in enumerate(tree.nodes):
+                if n.is_leaf:
+                    continue
+                rows = np.flatnonzero(node_mask(forest, t_idx, node))
+                left = forest.node_member_mask(t_idx, n.left, rows)
+                right = forest.node_member_mask(t_idx, n.right, rows)
+                assert np.array_equal(left, ~right)
+                for child, side in ((n.left, left), (n.right, right)):
+                    assert np.array_equal(rows[side], np.flatnonzero(node_mask(forest, t_idx, child)))
 
 
 class TestEogt:
