@@ -24,6 +24,13 @@ MODEL_VERSION = 1
 
 PARTITION_CAP_DEFAULT = 10**6
 
+# most nodes an EOGT walk stores (about 0.4 KiB each); past it a step builds
+# the chosen child's run without storing it. Large enough for the whole walk
+# of a small model (3 295 nodes for 10 trees of 100 splits on a 2-D table),
+# small enough that the walk of 50 trees of 200 splits fills within its
+# first 600 rows and then serves at a steady cost
+WALK_NODE_CAP = 2**12
+
 
 class PartitionSizeError(RuntimeError):
     """Cross-tree partition exceeded the configured element cap."""
@@ -144,17 +151,19 @@ class PartitionElement:
 
 
 class WalkNode:
-    """A state of the GF sampler in iterative tree order, at tree ``t_idx``
-    and its node ``node``, where the ``count`` training rows still inside
-    split between both sides of the node (a branching node: the right side
-    is taken with probability ``p``), or where every tree has reached a leaf
-    (a terminal cell: ``p`` is None and ``support`` is the cell).
+    """A state of the sampler in iterative tree order, at tree ``t_idx`` and
+    its node ``node``, where the right side is taken with probability ``p``
+    strictly between 0 and 1 (a branching node: in GF mode the ``count``
+    training rows still inside split between both sides), or where every
+    tree has reached a leaf (a terminal cell: ``p`` is None and ``support``
+    is the cell). ``count`` is None in EOGT mode.
 
     The edge into a node is its parent's coin followed by ``skip`` forced
-    steps, at which every row went the same way; ``checks`` pairs each
-    feature split on along that edge with its restriction at this node.
-    A branching node holds its ``support`` and ``rows`` until it is
-    expanded; then ``children`` is its (left, right) pair."""
+    steps, at which the coin was 0 or 1; ``checks`` pairs each feature split
+    on along that edge with its restriction at this node (only GF walks
+    keep them, for ``walk_cells``; an EOGT node's are empty). A branching node
+    holds its ``support`` and ``rows`` until it is expanded; then
+    ``children`` is its (left, right) pair."""
 
     __slots__ = ("t_idx", "node", "p", "count", "skip", "checks", "support", "rows", "children")
 
@@ -205,14 +214,29 @@ def _member_cuts(tree: Tree) -> tuple[np.ndarray, list[int], list[bool]]:
     return pre, cut, upper
 
 
-def approx_branch_prob(u_ct: float, u_right: float, u_cf: float, u_left: float, p_arc: float) -> float:
+def approx_branch_prob(
+    u_ct: float,
+    u_right: float,
+    u_cf: float,
+    u_left: float,
+    p_arc: float,
+    c_t: Restriction | Support,
+    c_f: Restriction | Support,
+) -> float:
     """Uniform-corrected branch probability of an ensemble of generative
-    trees: p_U[C_t|X_r] p / (p_U[C_t|X_r] p + p_U[C_f|X_l] (1 - p))."""
+    trees: p_U[C_t|X_r] p / (p_U[C_t|X_r] p + p_U[C_f|X_l] (1 - p)), where
+    ``c_t`` and ``c_f`` are the current support's intersections with the
+    right and left children. Where both corrected masses are 0 (below a
+    zero-width cell), the arc probability if both intersections are
+    non-empty, else the side that is."""
     qt = (u_ct / u_right) * p_arc if u_right > 0 else 0.0
     qf = (u_cf / u_left) * (1.0 - p_arc) if u_left > 0 else 0.0
     denom = qt + qf
-    assert denom > 0, "unreachable: both branches have zero corrected mass"
-    return qt / denom
+    if denom > 0:
+        return qt / denom
+    if c_t.is_empty():
+        return 0.0
+    return 1.0 if c_f.is_empty() else p_arc
 
 
 class GenerativeForest:
@@ -240,11 +264,15 @@ class GenerativeForest:
         self.dataset = dataset
         self.leaf_rows = leaf_rows
         self.arc_p = arc_p
-        # GF row keys and walk tree, built lazily by _row_keys and
-        # walk_root / walk_children; reentrant, as the walk reads the keys
+        # GF row keys and the walk tree, built lazily by _row_keys and
+        # walk_root / walk_child; reentrant, as the walk reads the keys.
+        # The walk's stored (branching nodes, cells), and whether an EOGT
+        # walk is full, change only under the lock
         self._lazy_lock = threading.RLock()
         self._keys: list[tuple[np.ndarray, list[int], list[bool]]] | None = None
         self._walk_root: WalkNode | None = None
+        self._walk_sizes = [0, 0]
+        self._walk_full = False
         if mode == "gf":
             if dataset is None or leaf_rows is None:
                 raise ValueError("gf mode needs the dataset binding")
@@ -255,6 +283,8 @@ class GenerativeForest:
                 for i, p in probs.items():
                     if not 0.0 <= p <= 1.0:
                         raise ValueError(f"arc probability {p} outside [0, 1] at node {i}")
+            # uniform mass of every node's support, read by branch_prob
+            self._node_umass = [[uniform_mass(schema, s) for s in t.supports] for t in trees]
 
     @property
     def T(self) -> int:
@@ -282,9 +312,11 @@ class GenerativeForest:
 
     def branch_prob(self, t_idx: int, node: int, support: Support, rows: np.ndarray | None) -> float:
         """Probability of taking the right branch at internal ``node`` of tree
-        ``t_idx`` given the current support and, in GF mode, the rows still
-        compatible with it: the fraction of those rows on the right (GF) or
-        the uniform-corrected arc probability (EOGT)."""
+        ``t_idx`` given the current support, which lies inside the node's,
+        and, in GF mode, the rows still compatible with it: the fraction of
+        those rows on the right (GF) or the uniform-corrected arc probability
+        (EOGT). The support's intersection with a child differs from the
+        support only on the split feature."""
         tree = self.trees[t_idx]
         n = tree.nodes[node]
         assert not n.is_leaf
@@ -292,14 +324,19 @@ class GenerativeForest:
             n_right = int(np.count_nonzero(self.node_member_mask(t_idx, n.right, rows)))
             assert len(rows) > 0, "unreachable: empty support during sampling"
             return n_right / len(rows)
-        c_t = support.intersect(tree.supports[n.right])
-        c_f = support.intersect(tree.supports[n.left])
+        j = n.pred.feature
+        r = support.restrictions[j]
+        r_t = r.intersect(tree.supports[n.right].restrictions[j])
+        r_f = r.intersect(tree.supports[n.left].restrictions[j])
+        u_node = self._node_umass[t_idx]
         return approx_branch_prob(
-            uniform_mass(self.schema, c_t),
-            uniform_mass(self.schema, tree.supports[n.right]),
-            uniform_mass(self.schema, c_f),
-            uniform_mass(self.schema, tree.supports[n.left]),
+            uniform_mass(self.schema, support.replace(j, r_t)),
+            u_node[n.right],
+            uniform_mass(self.schema, support.replace(j, r_f)),
+            u_node[n.left],
             self.arc_p[t_idx][node],
+            r_t,
+            r_f,
         )
 
     def leaf_tuples(self, observed=None, prune_empty: bool = False, cap: int = PARTITION_CAP_DEFAULT):
@@ -354,32 +391,53 @@ class GenerativeForest:
             states = new_states
         return states
 
-    # -- the cached GF walk ------------------------------------------------------
+    # -- the cached walk -----------------------------------------------------
 
     def walk_root(self) -> WalkNode:
-        """First branching node (or the only cell) of the GF sampler's walk in
+        """First branching node (or the only cell) of the sampler's walk in
         iterative tree order, built on first use. The walk is a fixed
-        function of the model: every branching node splits a non-empty row
-        set into two non-empty parts, so it never holds more than m - 1
-        branching nodes and m cells."""
+        function of the model. In GF mode every branching node splits a
+        non-empty row set into two non-empty parts, so the walk never holds
+        more than m - 1 branching nodes and m cells; an EOGT walk stores at
+        most ``WALK_NODE_CAP`` nodes."""
         if self._walk_root is None:
             with self._lazy_lock:
                 if self._walk_root is None:
-                    self._walk_root = self._walk_run(0, 0, Support.full(self.schema), np.arange(self.dataset.m), 0, {})
+                    rows = np.arange(self.dataset.m) if self.mode == "gf" else None
+                    root = self._walk_run(0, 0, Support.full(self.schema), rows, 0, {})
+                    self._walk_store(root)
+                    self._walk_root = root
         return self._walk_root
 
     def walk_children(self, node: WalkNode) -> tuple[WalkNode, WalkNode]:
-        """(left, right) children of a branching walk node, expanded on first
-        use under the forest's lock."""
+        """(left, right) children of a branching GF walk node, expanded and
+        stored on first use. Only a GF walk stores every expansion; an EOGT
+        walk is read one step at a time through ``walk_child``."""
+        assert self.mode == "gf", "an EOGT walk may leave a node unexpanded: use walk_child"
         if node.children is None:
-            with self._lazy_lock:
-                if node.children is None:
-                    self._walk_expand(node)
+            self.walk_child(node, False)
         return node.children
 
+    def walk_child(self, node: WalkNode, right: bool) -> WalkNode:
+        """The left or right child of a branching walk node: the stored one,
+        expanded on first use under the forest's lock, or, once the EOGT walk
+        is full, that side's run built anew and not stored, so that memory
+        stays bounded whatever the traffic. A node still without children
+        when the walk is full never gets them, so its support stays in
+        place."""
+        children = node.children
+        if children is None:
+            with self._lazy_lock:
+                if node.children is None and not self._walk_full:
+                    self._walk_expand(node)
+                children = node.children
+            if children is None:
+                return self._walk_side(node, right, None)
+        return children[right]
+
     def walk_cells(self, observed) -> list[WalkNode]:
-        """Terminal walk cells whose support holds the observed values
-        (``observed[j]`` a raw value, or None), in the order of
+        """Terminal cells of the GF walk whose support holds the observed
+        values (``observed[j]`` a raw value, or None), in the order of
         ``leaf_tuples(observed, prune_empty=True)``. A forced run is kept iff
         its end support holds the observed values of the features it split
         on: restrictions only shrink along a path, so this is the per-step
@@ -400,40 +458,82 @@ class GenerativeForest:
                     stack.extend(node.children or self.walk_children(node))
         return out
 
+    def describe(self) -> dict:
+        """Model and walk size: the mode, the number of trees, the leaves per
+        tree, the branching nodes and cells the walk stores, and whether the
+        walk is full (only an EOGT walk has a cap). One dict, so that a
+        caller such as a stats report reads the model's size in one call."""
+        with self._lazy_lock:
+            branching, cells = self._walk_sizes
+            full = self._walk_full
+        return {
+            "mode": self.mode,
+            "trees": self.T,
+            "leaves": self.leaf_count_summary(),
+            "walk_branching_nodes": branching,
+            "walk_cells": cells,
+            "walk_full": full,
+        }
+
+    def _walk_store(self, *nodes: WalkNode) -> None:
+        for node in nodes:
+            self._walk_sizes[node.p is None] += 1
+        # full: one more expansion would take an EOGT walk past the cap
+        self._walk_full = self.mode == "eogt" and sum(self._walk_sizes) + 2 > WALK_NODE_CAP
+
     def _walk_expand(self, node: WalkNode) -> None:
+        rows = node.rows
+        if rows is None:
+            sides = (None, None)
+        else:
+            right = self.node_member_mask(node.t_idx, self.trees[node.t_idx].nodes[node.node].right, rows)
+            sides = (rows[~right], rows[right])
+        children = tuple(self._walk_side(node, go_right, side) for go_right, side in enumerate(sides))
+        # readers look at node.children without the lock: attach the children
+        # before the count can mark the walk full, and drop the support (only
+        # cells need one; the rows live on in the children) last, so that a
+        # node seen without children still has its support
+        node.children = children
+        self._walk_store(*children)
+        node.support = node.rows = None
+
+    def _walk_side(self, node: WalkNode, right: bool, rows: np.ndarray | None) -> WalkNode:
+        """The run from one child of a branching walk node, given the training
+        rows on that side (None in EOGT mode)."""
         tree = self.trees[node.t_idx]
         n = tree.nodes[node.node]
+        child = n.right if right else n.left
         j = n.pred.feature
-        sup, rows = node.support, node.rows
-        right = self.node_member_mask(node.t_idx, n.right, rows)
-        children = []
-        for child, side in ((n.left, rows[~right]), (n.right, rows[right])):
-            r = sup.restrictions[j].intersect(tree.supports[child].restrictions[j])
-            children.append(self._walk_run(node.t_idx, child, sup.replace(j, r), side, 0, {j: r}))
-        # only cells need a support; the rows live on in the children
-        node.support = node.rows = None
-        node.children = tuple(children)
+        r = node.support.restrictions[j].intersect(tree.supports[child].restrictions[j])
+        return self._walk_run(node.t_idx, child, node.support.replace(j, r), rows, 0, {j: r})
 
     def _walk_run(self, t_idx, node, sup, rows, skip, checks) -> WalkNode:
-        """Follow the forced steps from a sampler state to the next branching
-        node or to the cell where every tree sits at a leaf."""
+        """Follow the forced steps, whose coin is 0 or 1, from a sampler state
+        to the next branching node or to the cell where every tree sits at a
+        leaf."""
+        count = None if rows is None else len(rows)
         while t_idx < self.T:
             tree = self.trees[t_idx]
             n = tree.nodes[node]
             if n.is_leaf:
                 t_idx, node = t_idx + 1, tree.root  # every tree's root is node 0
                 continue
-            n_right = int(np.count_nonzero(self.node_member_mask(t_idx, n.right, rows)))
-            if 0 < n_right < len(rows):
-                return WalkNode(t_idx, node, n_right / len(rows), len(rows), skip, tuple(checks.items()), sup, rows)
-            child = n.right if n_right else n.left
+            p = self.branch_prob(t_idx, node, sup, rows)
+            if 0.0 < p < 1.0:
+                return WalkNode(t_idx, node, p, count, skip, self._edge_checks(checks), sup, rows)
+            child = n.right if p else n.left
             j = n.pred.feature
             r = sup.restrictions[j].intersect(tree.supports[child].restrictions[j])
             sup = sup.replace(j, r)
             checks[j] = r
             skip += 1
             node = child
-        return WalkNode(t_idx, -1, None, len(rows), skip, tuple(checks.items()), sup, None)
+        return WalkNode(t_idx, -1, None, count, skip, self._edge_checks(checks), sup, None)
+
+    def _edge_checks(self, checks: dict) -> tuple:
+        # only walk_cells reads them, and it runs on GF walks. Skipping them
+        # takes 40 % of an EOGT walk's objects and 30 % of its bytes away
+        return tuple(checks.items()) if self.mode == "gf" else ()
 
     def enumerate_partition(self, cap: int = PARTITION_CAP_DEFAULT, prune_zero_count: bool = False):
         """All non-empty leaf-tuple support intersections. GF mode attaches

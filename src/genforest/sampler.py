@@ -28,8 +28,8 @@ class SamplerState:
 
 
 class WalkCursor:
-    """GF sampler state in iterative tree order: a node of the forest's
-    cached walk tree (``GenerativeForest.walk_root``)."""
+    """Sampler state in iterative tree order: a node of the forest's walk
+    tree (``GenerativeForest.walk_root``)."""
 
     __slots__ = ("node",)
 
@@ -61,7 +61,7 @@ def star_update(
     consumes one draw as a step of the stepping path does."""
     if type(state) is WalkCursor:
         node = state.node
-        child = (node.children or forest.walk_children(node))[rng.random() < node.p]
+        child = forest.walk_child(node, rng.random() < node.p)
         if child.skip:
             rng.random(child.skip)
         state.node = child
@@ -120,8 +120,8 @@ def draw_uniform(schema: Schema, support: Support, rng: np.random.Generator) -> 
 
 
 def sample_one(forest: GenerativeForest, rng: np.random.Generator, order: str = "iterative") -> list:
-    if forest.mode == "gf" and order == "iterative":
-        # the cached walk gives the stepping path's draws and cell, bit for bit
+    if order == "iterative":
+        # the walk gives the stepping path's draws and cell, bit for bit
         state = WalkCursor(forest.walk_root())
         if state.node.skip:
             rng.random(state.node.skip)

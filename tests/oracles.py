@@ -1,12 +1,15 @@
 """Reference implementations the tests compare the program against: a
 forest's cell of a complete point found by descending every tree, GF rows
-taken from m-long per-node row masks, and the EOGT cell probability chained
-along the leaf paths."""
+taken from m-long per-node row masks, the EOGT branch probability from full
+support intersections, the EOGT cell probability chained along the leaf
+paths, and generation by one star update per tree step."""
 
 import numpy as np
 
-from genforest.forest import GenerativeForest, PartitionElement, Tree
+from genforest.data import CATEGORICAL
+from genforest.forest import GenerativeForest, PartitionElement, Tree, approx_branch_prob
 from genforest.measure import Support, uniform_mass
+from genforest.sampler import draw_uniform, init_sampling, update_support
 
 
 def descendant_leaves(tree: Tree, node: int) -> list[int]:
@@ -57,6 +60,25 @@ def partition_element_of(forest: GenerativeForest, values) -> PartitionElement:
     )
 
 
+def eogt_branch_prob(forest: GenerativeForest, t_idx: int, node: int, support: Support) -> float:
+    """The uniform-corrected right-branch probability at internal ``node``
+    of tree ``t_idx``, from the support's full intersections with both
+    children and the children's uniform masses computed anew."""
+    tree = forest.trees[t_idx]
+    n = tree.nodes[node]
+    c_t = support.intersect(tree.supports[n.right])
+    c_f = support.intersect(tree.supports[n.left])
+    return approx_branch_prob(
+        uniform_mass(forest.schema, c_t),
+        uniform_mass(forest.schema, tree.supports[n.right]),
+        uniform_mass(forest.schema, c_f),
+        uniform_mass(forest.schema, tree.supports[n.left]),
+        forest.arc_p[t_idx][node],
+        c_t,
+        c_f,
+    )
+
+
 def eogt_cell_prob(forest: GenerativeForest, values) -> float:
     """Probability the approximate sampler lands in the cell of ``values``,
     following the deterministic iterative tree order."""
@@ -67,7 +89,7 @@ def eogt_cell_prob(forest: GenerativeForest, values) -> float:
         while not tree.nodes[node].is_leaf:
             n = tree.nodes[node]
             j = n.pred.feature
-            p_hat = forest.branch_prob(t_idx, node, cur, None)
+            p_hat = eogt_branch_prob(forest, t_idx, node, cur)
             go_right = tree.supports[n.right].restrictions[j].contains(values[j])
             prob *= p_hat if go_right else (1.0 - p_hat)
             node = n.right if go_right else n.left
@@ -83,3 +105,16 @@ def density(forest: GenerativeForest, values) -> tuple[float, bool]:
     if volume == 0.0:
         return p_cell, True
     return p_cell / volume, False
+
+
+def stepping_generate(forest: GenerativeForest, n: int, seed: int) -> list[np.ndarray]:
+    """``generate``'s columns from one star update per tree step in iterative
+    order, with the per-row streams of ``generate``."""
+    rows = []
+    for stream in np.random.SeedSequence(seed).spawn(n):
+        rng = np.random.default_rng(stream)
+        state = init_sampling(forest)
+        update_support(forest, state, rng)
+        rows.append(draw_uniform(forest.schema, state.support, rng))
+    return [np.array([r[j] for r in rows], dtype=np.int32 if d.kind == CATEGORICAL else np.float64)
+            for j, d in enumerate(forest.schema.domains)]

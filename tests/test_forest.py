@@ -5,10 +5,11 @@ import pytest
 
 from genforest.data import CATEGORICAL, INTEGER, DataError, dataset_from_rows, synth_domain, REAL
 from genforest.forest import GenerativeForest, SplitPredicate, Tree
-from genforest.measure import uniform_mass
+from genforest.measure import NumericInterval, Support, uniform_mass
+from genforest.sampler import generate
 from genforest.trainer import TrainConfig, full_poprisk, get_loss, train
 import oracles
-from oracles import node_mask, partition_element_of
+from oracles import node_mask, partition_element_of, stepping_generate
 
 
 def _manual_forest(toy2d, preds):
@@ -155,15 +156,18 @@ class TestDensity:
     def test_zero_width_cell_is_a_point_mass(self, toy2d):
         # x <= 0.10 (the domain's lower end) leaves the closed cell [0.10, 0.10]
         forest = _manual_forest(toy2d, [(0, 0.10), (1, 0.5)])
+        eogt = forest.to_eogt()
         assert forest.density([0.10, 0.20]) == (1 / 8, True)
         assert forest.density([0.10, 0.80]) == (0.0, True)  # no training row there
-        for x in ([0.10, 0.20], [0.10, 0.80], [0.10, 0.5], [0.5, 0.5], [0.9, 0.9]):
+        # the EOGT coin never enters a cell of zero uniform mass; below it
+        # both corrected masses of the second stump are 0 / 0
+        assert eogt.density([0.10, 0.20]) == (0.0, True)
+        for x in ([0.10, 0.20], [0.10, 0.80], [0.10, 0.5], [0.5, 0.5], [0.9, 0.9], [0.11, 0.2]):
             assert forest.density(x) == oracles.density(forest, x)
-        # the EOGT branch probability below a zero-width cell is 0 / 0, so
-        # only the cells beside it are compared
-        eogt = forest.to_eogt()
-        for x in ([0.5, 0.5], [0.9, 0.9], [0.11, 0.2]):
             assert eogt.density(x) == oracles.density(eogt, x)
+        got = generate(eogt, 200, seed=0)
+        assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in stepping_generate(eogt, 200, 0)]
+        assert got.columns[0].min() > 0.10
 
     def test_outside_the_domain_names_the_feature(self, toy_forest):
         forest, _ = toy_forest
@@ -311,6 +315,33 @@ class TestEogt:
         eogt = forest.to_eogt()
         root = forest.trees[0].root
         assert eogt.arc_p[0][root] == pytest.approx(0.5)  # 4 of 8 rows right
+
+    def test_branch_prob_equals_the_oracle(self, walk_forest, monkeypatch):
+        # bit for bit, at every node and support a leaf_tuples() enumeration
+        # reaches
+        eogt = walk_forest.to_eogt()
+        rule, pairs = eogt.branch_prob, []
+
+        def recorded(t_idx, node, support, rows):
+            p = rule(t_idx, node, support, rows)
+            pairs.append((p, oracles.eogt_branch_prob(eogt, t_idx, node, support)))
+            return p
+
+        monkeypatch.setattr(eogt, "branch_prob", recorded)
+        eogt.leaf_tuples()
+        assert len(pairs) > 100
+        assert all(got == want for got, want in pairs)
+
+    def test_branch_prob_below_a_zero_width_cell(self, toy2d):
+        # both uniform-corrected masses are 0 there: the arc probability when
+        # the support meets both children, else the side it meets
+        eogt = _manual_forest(toy2d, [(0, 0.10), (1, 0.5)]).to_eogt()
+        point = Support.full(toy2d.schema).replace(0, NumericInterval(0.10, 0.10))
+        stump = eogt.trees[1]
+        left, right = (stump.supports[i].restrictions[1] for i in (stump.nodes[0].left, stump.nodes[0].right))
+        assert eogt.branch_prob(1, 0, point, None) == eogt.arc_p[1][0] == 0.5
+        assert eogt.branch_prob(1, 0, point.replace(1, right), None) == 1.0
+        assert eogt.branch_prob(1, 0, point.replace(1, left), None) == 0.0
 
     def test_expected_depth_positive(self, toy_forest):
         forest, _ = toy_forest

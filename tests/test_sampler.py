@@ -1,8 +1,10 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from genforest import forest as forest_module
 from genforest.data import CATEGORICAL, FeatureDomain, Schema, apply_mcar, synth_domain
 from genforest.forest import GenerativeForest
 from genforest.imputer import impute_dataset
@@ -10,41 +12,22 @@ from genforest.measure import CatSubset, NumericInterval, Support
 from genforest.sampler import (
     draw_uniform,
     generate,
-    init_sampling,
     path_interleavings,
     sample_one,
     support_distribution,
-    update_support,
 )
 from genforest.trainer import TrainConfig, train
-from oracles import partition_element_of
+from oracles import partition_element_of, stepping_generate
 
 
-def stepping_generate(forest, n, seed):
-    """Reference: one star update per tree step over the surviving rows,
-    with the per-row streams of ``generate``."""
-    out = []
-    for stream in np.random.SeedSequence(seed).spawn(n):
-        rng = np.random.default_rng(stream)
-        state = init_sampling(forest)
-        update_support(forest, state, rng)
-        out.append(draw_uniform(forest.schema, state.support, rng))
-    return generate_columns(forest, out)
-
-
-def generate_columns(forest, rows):
-    return [np.array([r[j] for r in rows], dtype=c.dtype)
-            for j, c in enumerate(forest.dataset.columns)]
-
-
-def walk_nodes(forest):
-    """Every node of the fully expanded walk tree."""
+def walk_nodes(forest, expand=True):
+    """Every node of the walk tree: fully expanded, or as stored so far."""
     out, stack = [], [forest.walk_root()]
     while stack:
         node = stack.pop()
         out.append(node)
         if node.p is not None:
-            stack.extend(forest.walk_children(node))
+            stack.extend((forest.walk_children(node) if expand else node.children) or ())
     return out
 
 
@@ -106,6 +89,55 @@ class TestWalk:
         want = stepping_generate(walk_forest, 150, seed)
         assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want]
 
+    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_eogt_generate_equals_stepping_path(self, walk_forest, seed, cap, monkeypatch):
+        # with cap 3 the walk stores its root and the root's children, and
+        # every later step is built and not stored
+        if cap is not None:
+            monkeypatch.setattr(forest_module, "WALK_NODE_CAP", cap)
+        eogt = walk_forest.to_eogt()
+        got = generate(eogt, 150, seed=seed)
+        want = stepping_generate(eogt, 150, seed)
+        assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want]
+        assert eogt.describe()["walk_full"] == (cap is not None)
+
+    @pytest.mark.parametrize("cap", [None, 50])
+    def test_eogt_walk_stores_at_most_the_cap(self, walk_forest, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(forest_module, "WALK_NODE_CAP", cap)
+        eogt = walk_forest.to_eogt()
+        generate(eogt, 2000, seed=0)
+        info = eogt.describe()
+        stored = walk_nodes(eogt, expand=False)
+        assert info["walk_branching_nodes"] == sum(n.p is not None for n in stored)
+        assert info["walk_cells"] == sum(n.p is None for n in stored)
+        assert len(stored) <= forest_module.WALK_NODE_CAP
+        assert info["walk_full"] == (len(stored) + 2 > forest_module.WALK_NODE_CAP)
+        assert all(0 < n.p < 1 and n.count is None for n in stored if n.p is not None)
+        assert all(n.checks == () for n in stored)  # only walk_cells reads them, on GF walks
+
+    def test_reader_during_the_filling_expansion_gets_the_stored_child(self, walk_forest, monkeypatch):
+        # a thread that meets a node while another thread's expansion of it
+        # fills the walk gets the stored child, and never a run built from
+        # the support that the expansion drops
+        monkeypatch.setattr(forest_module, "WALK_NODE_CAP", 3)
+        eogt = walk_forest.to_eogt()
+        root = eogt.walk_root()
+        seen = []
+        store = GenerativeForest._walk_store
+
+        def store_then_read(self, *nodes):
+            store(self, *nodes)
+            if self._walk_full:
+                reader = threading.Thread(target=lambda: seen.append(self.walk_child(root, True)))
+                reader.start()
+                reader.join(5)
+
+        monkeypatch.setattr(GenerativeForest, "_walk_store", store_then_read)
+        eogt.walk_child(root, False)
+        assert len(seen) == 1 and seen[0] is root.children[1]
+
     def test_size_bound_after_full_expansion(self, walk_forest):
         nodes = walk_nodes(walk_forest)
         m = walk_forest.dataset.m
@@ -119,13 +151,21 @@ class TestWalk:
 
     def test_built_lazily(self, toy2d):
         forest, _ = train(toy2d, TrainConfig(n_trees=2, n_splits=3, seed=0))
-        assert forest._walk_root is None
-        generate(forest, 1, seed=0)
-        assert forest._walk_root is not None
+        eogt = forest.to_eogt()
+        for model in (forest, eogt):
+            assert model._walk_root is None
+            info = model.describe()
+            assert info["walk_branching_nodes"] == info["walk_cells"] == 0
+            generate(model, 1, seed=0)
+            assert model._walk_root is not None
+            info = model.describe()
+            assert info["walk_branching_nodes"] + info["walk_cells"] >= 1
+        assert eogt.describe()["leaves"] == forest.leaf_count_summary()
 
     def test_threads_on_a_fresh_walk(self, monkeypatch):
-        # many workers expanding fresh walks, switching threads often: every
-        # node is expanded exactly once and the bytes match one thread
+        # many workers expanding fresh walks of both modes, switching threads
+        # often, the EOGT walk past its cap: every node is expanded exactly
+        # once and the bytes match one thread
         ds = synth_domain("circGauss", seed=1)
         cfg = TrainConfig(n_trees=4, n_splits=40, seed=0)
         masked, _ = apply_mcar(ds, 0.3, seed=2)
@@ -137,6 +177,7 @@ class TestWalk:
             expand(self, node)
 
         monkeypatch.setattr(GenerativeForest, "_walk_expand", counted)
+        monkeypatch.setattr(forest_module, "WALK_NODE_CAP", 200)
         outputs = []
         for threads in (1, 4, 4, 4):
             forest, _ = train(ds, cfg)
@@ -146,10 +187,15 @@ class TestWalk:
             try:
                 gen = generate(forest, 300, seed=3, threads=threads)
                 imp = impute_dataset(forest, masked, seed=4, threads=threads)
+                eogt_model = forest.to_eogt()
+                eogt = generate(eogt_model, 300, seed=5, threads=threads)
             finally:
                 sys.setswitchinterval(old)
             assert expanded and len({id(n) for n in expanded}) == len(expanded)
-            outputs.append([c.tobytes() for c in gen.columns + imp.columns])
+            assert any(n.count is None for n in expanded)  # EOGT nodes were expanded too
+            info = eogt_model.describe()
+            assert info["walk_full"] and info["walk_branching_nodes"] + info["walk_cells"] <= 200
+            outputs.append([c.tobytes() for c in gen.columns + imp.columns + eogt.columns])
         assert all(out == outputs[0] for out in outputs[1:])
 
 
