@@ -18,7 +18,6 @@ from .data import (
     CATEGORICAL,
     MISSING_CODE,
     DataError,
-    Dataset,
     SYNTH_SIZES,
     apply_mcar,
     load_csv,

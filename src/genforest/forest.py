@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +22,12 @@ from .measure import (
 MODEL_FORMAT = "genforest-model"
 MODEL_VERSION = 1
 
-PARTITION_CAP_DEFAULT = 10**6
-
-# most nodes an EOGT walk stores (about 0.4 KiB each); past it a step builds
+# most nodes an EOGT walk stores (about 0.5 KiB each); past it a step builds
 # the chosen child's run without storing it. Large enough for the whole walk
 # of a small model (3 295 nodes for 10 trees of 100 splits on a 2-D table),
 # small enough that the walk of 50 trees of 200 splits fills within its
 # first 600 rows and then serves at a steady cost
 WALK_NODE_CAP = 2**12
-
-
-class PartitionSizeError(RuntimeError):
-    """Cross-tree partition exceeded the configured element cap."""
 
 
 @dataclass(frozen=True)
@@ -126,52 +120,30 @@ class Tree:
             i = n.right if self.supports[n.right].restrictions[n.pred.feature].contains(values[n.pred.feature]) else n.left
         return i
 
-    def path_to(self, leaf: int) -> list[int]:
-        """Node ids from root (exclusive) down to ``leaf`` (inclusive)."""
-        parents = {}
-        for i, n in enumerate(self.nodes):
-            if not n.is_leaf:
-                parents[n.left] = i
-                parents[n.right] = i
-        path = []
-        cur = leaf
-        while cur != self.root:
-            path.append(cur)
-            cur = parents[cur]
-        return path[::-1]
-
-
-@dataclass
-class PartitionElement:
-    leaf_ids: tuple[int, ...]
-    support: Support
-    count: int | None
-    umass: float
-    rows: np.ndarray | None = None
-
 
 class WalkNode:
     """A state of the sampler in iterative tree order, at tree ``t_idx`` and
     its node ``node``, where the right side is taken with probability ``p``
-    strictly between 0 and 1 (a branching node: in GF mode the ``count``
-    training rows still inside split between both sides), or where every
-    tree has reached a leaf (a terminal cell: ``p`` is None and ``support``
-    is the cell). ``count`` is None in EOGT mode.
+    strictly between 0 and 1 (a branching node: in GF mode the training rows
+    still inside split between both sides), or where every tree has reached
+    a leaf (a terminal cell: ``p`` is None and ``support`` is the cell).
+    ``mass`` is the probability that the sampler reaches the node: the
+    fraction of training rows inside it (GF), or the product of the coins
+    along its path (EOGT).
 
     The edge into a node is its parent's coin followed by ``skip`` forced
     steps, at which the coin was 0 or 1; ``checks`` pairs each feature split
-    on along that edge with its restriction at this node (only GF walks
-    keep them, for ``walk_cells``; an EOGT node's are empty). A branching node
-    holds its ``support`` and ``rows`` until it is expanded; then
-    ``children`` is its (left, right) pair."""
+    on along that edge with its restriction at this node, for
+    ``walk_cells``. A branching node holds its ``support`` and ``rows`` until
+    it is expanded; then ``children`` is its (left, right) pair."""
 
-    __slots__ = ("t_idx", "node", "p", "count", "skip", "checks", "support", "rows", "children")
+    __slots__ = ("t_idx", "node", "p", "mass", "skip", "checks", "support", "rows", "children")
 
-    def __init__(self, t_idx, node, p, count, skip, checks, support, rows):
+    def __init__(self, t_idx, node, p, mass, skip, checks, support, rows):
         self.t_idx = t_idx
         self.node = node
         self.p = p
-        self.count = count
+        self.mass = mass
         self.skip = skip
         self.checks = checks
         self.support = support
@@ -339,58 +311,6 @@ class GenerativeForest:
             r_f,
         )
 
-    def leaf_tuples(self, observed=None, prune_empty: bool = False, cap: int = PARTITION_CAP_DEFAULT):
-        """Every leaf tuple whose support intersection is non-empty and holds
-        the observed values (``observed[j]`` is a raw value, or None where
-        unobserved), built by the sequential chop over trees. Returns
-        ``(leaf_ids, support, aux)`` triples, where ``aux`` is the training
-        rows inside the support (GF) or the chained branch-probability mass
-        (EOGT); ``prune_empty`` drops tuples with no rows / zero mass."""
-        gf = self.mode == "gf"
-        states = [((), Support.full(self.schema), np.arange(self.dataset.m) if gf else 1.0)]
-        for t_idx, tree in enumerate(self.trees):
-            nodes, supports = tree.nodes, tree.supports
-            new_states = []
-            for leaf_ids, sup, aux in states:
-                stack = [(tree.root, sup, aux)]
-                while stack:
-                    node_id, cur, cur_aux = stack.pop()
-                    node = nodes[node_id]
-                    if node.is_leaf:
-                        new_states.append((leaf_ids + (node_id,), cur, cur_aux))
-                        if len(new_states) > cap:
-                            raise PartitionSizeError(f"partition exceeds cap {cap}")
-                        continue
-                    j = node.pred.feature
-                    x = None if observed is None else observed[j]
-                    cur_r = cur.restrictions[j]
-                    if gf:
-                        right = self.node_member_mask(t_idx, node.right, cur_aux)
-                        sides = ((node.left, cur_aux[~right]), (node.right, cur_aux[right]))
-                    else:
-                        sides = ((node.left, None), (node.right, None))
-                    children = []
-                    for child, child_aux in sides:
-                        # GF rows first: an empty row set is the cheapest prune
-                        if gf and prune_empty and len(child_aux) == 0:
-                            continue
-                        child_r = cur_r.intersect(supports[child].restrictions[j])
-                        if child_r.is_empty() or (x is not None and not child_r.contains(x)):
-                            continue
-                        children.append((child, child_r, child_aux))
-                    if not gf and children:
-                        p_hat = self.branch_prob(t_idx, node_id, cur, None)
-                    for child, child_r, child_aux in children:
-                        if not gf:
-                            p = p_hat if child == node.right else 1.0 - p_hat
-                            if prune_empty and p == 0.0:
-                                continue
-                            child_aux = cur_aux * p
-                        child_sup = cur if child_r is cur_r else cur.replace(j, child_r)
-                        stack.append((child, child_sup, child_aux))
-            states = new_states
-        return states
-
     # -- the cached walk -----------------------------------------------------
 
     def walk_root(self) -> WalkNode:
@@ -404,19 +324,10 @@ class GenerativeForest:
             with self._lazy_lock:
                 if self._walk_root is None:
                     rows = np.arange(self.dataset.m) if self.mode == "gf" else None
-                    root = self._walk_run(0, 0, Support.full(self.schema), rows, 0, {})
+                    root = self._walk_run(0, 0, Support.full(self.schema), rows, 1.0, {})
                     self._walk_store(root)
                     self._walk_root = root
         return self._walk_root
-
-    def walk_children(self, node: WalkNode) -> tuple[WalkNode, WalkNode]:
-        """(left, right) children of a branching GF walk node, expanded and
-        stored on first use. Only a GF walk stores every expansion; an EOGT
-        walk is read one step at a time through ``walk_child``."""
-        assert self.mode == "gf", "an EOGT walk may leave a node unexpanded: use walk_child"
-        if node.children is None:
-            self.walk_child(node, False)
-        return node.children
 
     def walk_child(self, node: WalkNode, right: bool) -> WalkNode:
         """The left or right child of a branching walk node: the stored one,
@@ -436,12 +347,13 @@ class GenerativeForest:
         return children[right]
 
     def walk_cells(self, observed) -> list[WalkNode]:
-        """Terminal cells of the GF walk whose support holds the observed
-        values (``observed[j]`` a raw value, or None), in the order of
-        ``leaf_tuples(observed, prune_empty=True)``. A forced run is kept iff
-        its end support holds the observed values of the features it split
-        on: restrictions only shrink along a path, so this is the per-step
-        test of ``leaf_tuples``."""
+        """Terminal cells of the walk whose support holds the observed values
+        (``observed[j]`` a raw value, or None), depth first with the right
+        side first: every cell the sampler reaches with a non-zero coin at
+        each step. A forced run is kept iff its end support holds the
+        observed values of the features it split on: restrictions only
+        shrink along a path, so this is the test of every step's
+        restriction."""
         out = []
         stack = [self.walk_root()]
         while stack:
@@ -455,7 +367,7 @@ class GenerativeForest:
                     out.append(node)
                 else:
                     # (left, right): the right side is explored first
-                    stack.extend(node.children or self.walk_children(node))
+                    stack.extend(node.children or (self.walk_child(node, False), self.walk_child(node, True)))
         return out
 
     def describe(self) -> dict:
@@ -499,19 +411,25 @@ class GenerativeForest:
 
     def _walk_side(self, node: WalkNode, right: bool, rows: np.ndarray | None) -> WalkNode:
         """The run from one child of a branching walk node, given the training
-        rows on that side (None in EOGT mode)."""
+        rows on that side (None in EOGT mode). Its mass is the fraction of
+        rows on that side (GF) or the node's mass times that side's coin
+        (EOGT); the forced steps after it multiply it by exactly 1.0."""
         tree = self.trees[node.t_idx]
         n = tree.nodes[node.node]
         child = n.right if right else n.left
         j = n.pred.feature
         r = node.support.restrictions[j].intersect(tree.supports[child].restrictions[j])
-        return self._walk_run(node.t_idx, child, node.support.replace(j, r), rows, 0, {j: r})
+        if rows is None:
+            mass = node.mass * (node.p if right else 1.0 - node.p)
+        else:
+            mass = len(rows) / self.dataset.m
+        return self._walk_run(node.t_idx, child, node.support.replace(j, r), rows, mass, {j: r})
 
-    def _walk_run(self, t_idx, node, sup, rows, skip, checks) -> WalkNode:
+    def _walk_run(self, t_idx, node, sup, rows, mass, checks) -> WalkNode:
         """Follow the forced steps, whose coin is 0 or 1, from a sampler state
         to the next branching node or to the cell where every tree sits at a
         leaf."""
-        count = None if rows is None else len(rows)
+        skip = 0
         while t_idx < self.T:
             tree = self.trees[t_idx]
             n = tree.nodes[node]
@@ -520,7 +438,7 @@ class GenerativeForest:
                 continue
             p = self.branch_prob(t_idx, node, sup, rows)
             if 0.0 < p < 1.0:
-                return WalkNode(t_idx, node, p, count, skip, self._edge_checks(checks), sup, rows)
+                return WalkNode(t_idx, node, p, mass, skip, tuple(checks.items()), sup, rows)
             child = n.right if p else n.left
             j = n.pred.feature
             r = sup.restrictions[j].intersect(tree.supports[child].restrictions[j])
@@ -528,28 +446,7 @@ class GenerativeForest:
             checks[j] = r
             skip += 1
             node = child
-        return WalkNode(t_idx, -1, None, count, skip, self._edge_checks(checks), sup, None)
-
-    def _edge_checks(self, checks: dict) -> tuple:
-        # only walk_cells reads them, and it runs on GF walks. Skipping them
-        # takes 40 % of an EOGT walk's objects and 30 % of its bytes away
-        return tuple(checks.items()) if self.mode == "gf" else ()
-
-    def enumerate_partition(self, cap: int = PARTITION_CAP_DEFAULT, prune_zero_count: bool = False):
-        """All non-empty leaf-tuple support intersections. GF mode attaches
-        exact counts and rows (each training row lives in exactly one element,
-        per its per-tree leaf assignment)."""
-        gf = self.mode == "gf"
-        return [
-            PartitionElement(
-                leaf_ids=leaf_ids,
-                support=sup,
-                count=len(aux) if gf else None,
-                umass=uniform_mass(self.schema, sup),
-                rows=aux if gf else None,
-            )
-            for leaf_ids, sup, aux in self.leaf_tuples(prune_empty=prune_zero_count, cap=cap)
-        ]
+        return WalkNode(t_idx, -1, None, mass, skip, tuple(checks.items()), sup, None)
 
     # -- density -------------------------------------------------------------
 
@@ -569,25 +466,21 @@ class GenerativeForest:
         """Piecewise-uniform density at a complete observation, w.r.t. the
         natural product measure. Returns (value, point_mass_flag); for a
         zero-volume cell the cell probability itself is returned. The cell
-        and its mass come from the cached walk (GF), where a complete point
-        passes at most one child of each branching node, or from its single
-        leaf tuple (EOGT)."""
+        and its mass come from the cached walk, where a complete point passes
+        at most one child of each branching node."""
         full = Support.full(self.schema)
         for name, r, x in zip(self.schema.names, full.restrictions, values):
             if not r.contains(x):
                 raise ValueError(f"{name}={x!r} lies outside the learned domain")
-        if self.mode == "gf":
-            cells = self.walk_cells(values)
-            if cells:
-                (cell,) = cells
-                p_cell, sup = cell.count / self.dataset.m, cell.support
-            else:
-                # a cell without training rows is not on the walk
-                p_cell, sup = 0.0, full
-                for t in self.trees:
-                    sup = sup.intersect(t.supports[t.leaf_of(values)])
+        cells = self.walk_cells(values)
+        if cells:
+            (cell,) = cells
+            p_cell, sup = cell.mass, cell.support
         else:
-            ((_, sup, p_cell),) = self.leaf_tuples(values)
+            # a cell of zero mass is not on the walk
+            p_cell, sup = 0.0, full
+            for t in self.trees:
+                sup = sup.intersect(t.supports[t.leaf_of(values)])
         volume = uniform_mass(self.schema, sup) * self.domain_volume()
         if volume == 0.0:
             return p_cell, True
@@ -627,15 +520,6 @@ class GenerativeForest:
             if not n.is_leaf:
                 counts[i] = counts[n.left] + counts[n.right]
         return counts
-
-    def expected_depth(self, cap: int = PARTITION_CAP_DEFAULT) -> float:
-        """Summed leaf depth over the trees, in expectation over the cells:
-        weighted by the empirical mass (GF) or the sampler's mass (EOGT)."""
-        gf = self.mode == "gf"
-        return sum(
-            (len(aux) / self.dataset.m if gf else aux) * sum(t.nodes[l].depth for t, l in zip(self.trees, leaf_ids))
-            for leaf_ids, _, aux in self.leaf_tuples(prune_empty=True, cap=cap)
-        )
 
     def leaf_count_summary(self) -> list[int]:
         return [t.n_leaves() for t in self.trees]

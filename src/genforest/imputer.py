@@ -1,5 +1,6 @@
-"""Missing-data imputation: enumerate the leaf tuples consistent with the
-observed features, pick a maximal-density tuple, fill the gaps uniformly."""
+"""Missing-data imputation: find the cells of the forest's walk consistent
+with the observed features, pick a maximal-density cell, fill the gaps
+uniformly."""
 
 from __future__ import annotations
 
@@ -42,14 +43,11 @@ def raw_row(ds: Dataset, i: int) -> list:
 
 
 def conditional_tuples(forest: GenerativeForest, x_partial) -> list[ConditionalTuple]:
-    """Leaf tuples whose support is consistent with the observed features.
-    GF mode attaches exact empirical masses (zero-mass tuples dropped), read
-    off the forest's cached walk; EOGT mode attaches the chained
-    branch-probability approximation."""
-    if forest.mode == "gf":
-        m = forest.dataset.m
-        return [ConditionalTuple(cell.support, cell.count / m) for cell in forest.walk_cells(x_partial)]
-    return [ConditionalTuple(sup, p) for _, sup, p in forest.leaf_tuples(x_partial, prune_empty=True)]
+    """Cells of the forest's cached walk whose support is consistent with the
+    observed features, with their masses: exact empirical masses (GF) or the
+    chained branch-probability approximation (EOGT). Cells the sampler
+    cannot reach are not on the walk."""
+    return [ConditionalTuple(cell.support, cell.mass) for cell in forest.walk_cells(x_partial)]
 
 
 def _pick_tuple(tuples: list[ConditionalTuple], x_partial, missing: list[int], rng: np.random.Generator) -> ConditionalTuple:

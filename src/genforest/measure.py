@@ -1,14 +1,14 @@
-"""Supports (axis-aligned domain restrictions), empirical and uniform masses,
-and the strictly proper losses driving the splitting criterion."""
+"""Supports (axis-aligned domain restrictions), uniform masses, row
+membership of a restriction, and the strictly proper losses driving the
+splitting criterion."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, INTEGER, MISSING_CODE, REAL, Dataset, FeatureDomain, Schema
+from .data import CATEGORICAL, INTEGER, MISSING_CODE, FeatureDomain, Schema
 
 
 @dataclass(frozen=True)
@@ -170,18 +170,6 @@ def uniform_mass(schema: Schema, s: Support) -> float:
     return out
 
 
-def compatible_rows(ds: Dataset, s: Support, rows: np.ndarray | None = None) -> np.ndarray:
-    """Indices of rows compatible with the support; a missing value is a
-    wildcard compatible with any restriction."""
-    if rows is None:
-        rows = np.arange(ds.m)
-    keep = np.ones(len(rows), dtype=bool)
-    for j, (dom, r) in enumerate(zip(ds.schema.domains, s.restrictions)):
-        col = ds.columns[j][rows]
-        keep &= restriction_mask(dom, r, col)
-    return rows[keep]
-
-
 def restriction_mask(dom: FeatureDomain, r: Restriction, col: np.ndarray) -> np.ndarray:
     """Vectorized membership (missing = wildcard) of a column slice."""
     if dom.kind == CATEGORICAL:
@@ -203,10 +191,6 @@ def restriction_mask(dom: FeatureDomain, r: Restriction, col: np.ndarray) -> np.
     return ok | missing
 
 
-def empirical_mass(ds: Dataset, s: Support, rows: np.ndarray | None = None) -> float:
-    return len(compatible_rows(ds, s, rows)) / ds.m
-
-
 # ---------------------------------------------------------------------------
 # proper losses
 
@@ -221,16 +205,6 @@ class LossSpec:
 
     name: str
     kappa: float
-
-    def partial_loss(self, y: int, u) -> float:
-        u = np.asarray(u, dtype=float)
-        if self.name == "square":
-            return (1.0 - u) ** 2 if y == 1 else u**2
-        if self.name == "log":
-            return -np.log(u) if y == 1 else -np.log(1.0 - u)
-        if self.name == "matusita":
-            return np.sqrt((1.0 - u) / u) if y == 1 else np.sqrt(u / (1.0 - u))
-        raise ValueError(self.name)
 
     def bayes_risk(self, u):
         u = np.asarray(u, dtype=float)
@@ -274,10 +248,6 @@ def get_loss(name: str) -> LossSpec:
         raise ValueError(f"unknown loss {name!r}; choose from {sorted(LOSSES)}") from None
 
 
-def mixture_mass(r: float, u: float, pi: float) -> float:
-    return pi * r + (1.0 - pi) * u
-
-
 def cell_risk(loss: LossSpec, r, u, pi: float):
     """p_M[C] * L(pi p_R[C] / p_M[C]) for cells given by (empirical, uniform)
     mass pairs; zero-mixture cells contribute 0."""
@@ -291,10 +261,3 @@ def cell_risk(loss: LossSpec, r, u, pi: float):
     ratio = np.where(pm > 0, pi * r / np.maximum(pm, 1e-300), 0.0)
     out = np.where(pm > 0, pm * loss.bayes_risk(np.clip(ratio, 0.0, 1.0)), 0.0)
     return out if out.ndim else float(out)
-
-
-def poprisk_from_cells(loss: LossSpec, cells, pi: float) -> float:
-    """Expected Bayes risk over a full partition given (r, u) mass pairs."""
-    r = np.array([c[0] for c in cells])
-    u = np.array([c[1] for c in cells])
-    return float(np.sum(cell_risk(loss, r, u, pi)))

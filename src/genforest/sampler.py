@@ -1,6 +1,5 @@
 """Sampling from generative forests: stochastic support updates across the
-trees, exact distribution enumeration for small models, and batch generation
-with per-observation random streams."""
+trees, and batch generation with per-observation random streams."""
 
 from __future__ import annotations
 
@@ -10,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, INTEGER, Dataset, Schema
-from .forest import GenerativeForest, PartitionElement, WalkNode
-from .measure import Support, uniform_mass
+from .forest import GenerativeForest, WalkNode
+from .measure import Support
 
 
 @dataclass
@@ -161,97 +160,3 @@ def generate(
         else:
             columns.append(np.array([r[j] for r in raw], dtype=np.float64))
     return Dataset(schema, columns)
-
-
-# ---------------------------------------------------------------------------
-# exact distributions (analysis / test oracles; exponential in model size)
-
-
-def support_distribution(forest: GenerativeForest, order: str = "iterative") -> list[tuple[PartitionElement, float]]:
-    """Exact law of the final support under the given update order, obtained
-    by branching the sampler walk instead of flipping coins."""
-    out: dict[tuple, tuple[PartitionElement, float]] = {}
-
-    def emit(state: SamplerState, prob: float) -> None:
-        leaf_ids = tuple(state.positions)
-        key = leaf_ids
-        if key in out:
-            elem, p0 = out[key]
-            out[key] = (elem, p0 + prob)
-        else:
-            elem = PartitionElement(
-                leaf_ids=leaf_ids,
-                support=state.support,
-                count=len(state.rows) if state.rows is not None else None,
-                umass=uniform_mass(forest.schema, state.support),
-                rows=state.rows,
-            )
-            out[key] = (elem, prob)
-
-    def walk(state: SamplerState, prob: float) -> None:
-        if order == "iterative":
-            t_idx = next(
-                (i for i, t in enumerate(forest.trees) if not t.is_leaf(state.positions[i])), None
-            )
-            choices = [] if t_idx is None else [t_idx]
-        else:
-            choices = [i for i, t in enumerate(forest.trees) if not t.is_leaf(state.positions[i])]
-        if not choices:
-            emit(state, prob)
-            return
-        w = 1.0 / len(choices)
-        for t_idx in choices:
-            tree = forest.trees[t_idx]
-            node = tree.nodes[state.positions[t_idx]]
-            p = branch_probability(forest, state, t_idx)
-            for child, pc in ((node.right, p), (node.left, 1.0 - p)):
-                if pc == 0.0:
-                    continue
-                sub = SamplerState(state.support, list(state.positions), state.rows)
-                _descend(forest, sub, t_idx, child)
-                walk(sub, prob * w * pc)
-
-    walk(init_sampling(forest), 1.0)
-    return list(out.values())
-
-
-def element_reach_probability(forest: GenerativeForest, leaf_ids, interleaving) -> float:
-    """GF mode: probability of ending at the given leaf tuple when the trees
-    advance along their fixed root-to-leaf paths in the order given by
-    ``interleaving`` (a sequence of tree indices, one entry per path step)."""
-    assert forest.mode == "gf"
-    paths = [t.path_to(l) for t, l in zip(forest.trees, leaf_ids)]
-    pos = [0] * forest.T
-    state = init_sampling(forest)
-    prob = 1.0
-    for t_idx in interleaving:
-        target = paths[t_idx][pos[t_idx]]
-        tree = forest.trees[t_idx]
-        node = tree.nodes[state.positions[t_idx]]
-        p = branch_probability(forest, state, t_idx)
-        prob *= p if target == node.right else 1.0 - p
-        if prob == 0.0:
-            return 0.0
-        _descend(forest, state, t_idx, target)
-        pos[t_idx] += 1
-    assert all(pos[i] == len(paths[i]) for i in range(forest.T)), "interleaving does not exhaust the paths"
-    return prob
-
-
-def path_interleavings(lengths: list[int]):
-    """All sequences of tree indices with the given per-tree multiplicities."""
-    total = sum(lengths)
-
-    def rec(counts, prefix):
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for i, c in enumerate(counts):
-            if c:
-                counts[i] -= 1
-                prefix.append(i)
-                yield from rec(counts, prefix)
-                prefix.pop()
-                counts[i] += 1
-
-    yield from rec(list(lengths), [])

@@ -9,7 +9,7 @@ predicate separates data mass from volume.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, groupby
 
 import numpy as np
@@ -18,7 +18,6 @@ from .data import CATEGORICAL, INTEGER, Dataset
 from .forest import GenerativeForest, SplitPredicate, Tree, assignment_arrays
 from .measure import (
     LossSpec,
-    Support,
     cell_risk,
     get_loss,
     restriction_mask,
@@ -458,14 +457,6 @@ def risk_delta(forest: GenerativeForest, t_idx: int, leaf: int, pred: SplitPredi
             cells, j, dom, [pred.subset], col, loss, forest.pi, forest.dataset.m
         )
     return float(deltas[0])
-
-
-def full_poprisk(forest: GenerativeForest, loss: LossSpec) -> float:
-    """Objective recomputed from scratch over the whole partition (oracle for
-    the incremental bookkeeping)."""
-    elems = forest.enumerate_partition(prune_zero_count=True)
-    m = forest.dataset.m
-    return float(sum(cell_risk(loss, e.count / m, e.umass, forest.pi) for e in elems))
 
 
 # ---------------------------------------------------------------------------

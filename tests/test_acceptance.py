@@ -27,20 +27,25 @@ from genforest.sampler import (
     SamplerState,
     _descend,
     branch_probability,
-    element_reach_probability,
     generate,
     init_sampling,
-    path_interleavings,
-    support_distribution,
 )
 from genforest.trainer import (
     TrainConfig,
     _leaf_only_cells,
     _numeric_candidates,
     _score_numeric,
-    full_poprisk,
     risk_delta,
     train,
+)
+from oracles import (
+    element_reach_probability,
+    enumerate_partition,
+    expected_depth,
+    full_poprisk,
+    path_interleavings,
+    path_to,
+    support_distribution,
 )
 from tests.conftest import random_dataset
 
@@ -58,7 +63,7 @@ def report(num: int, name: str, ok: bool, details: str = "") -> None:
 
 
 def _iterative_interleaving(forest, leaf_ids):
-    lengths = [len(t.path_to(l)) for t, l in zip(forest.trees, leaf_ids)]
+    lengths = [len(path_to(t, l)) for t, l in zip(forest.trees, leaf_ids)]
     return tuple(i for i, n in enumerate(lengths) for _ in range(n)), lengths
 
 
@@ -66,7 +71,7 @@ def test_01_reach_probability_equals_empirical_frequency(toy_forest, toy2d):
     t0 = time.monotonic()
     forest, _ = toy_forest
     worst = 0.0
-    for e in forest.enumerate_partition():
+    for e in enumerate_partition(forest):
         inter, _ = _iterative_interleaving(forest, e.leaf_ids)
         p = element_reach_probability(forest, e.leaf_ids, inter)
         worst = max(worst, abs(p - e.count / toy2d.m))
@@ -80,7 +85,7 @@ def test_02_reach_probability_order_invariant(toy_forest):
     t0 = time.monotonic()
     forest, _ = toy_forest
     worst = 0.0
-    for e in forest.enumerate_partition():
+    for e in enumerate_partition(forest):
         _, lengths = _iterative_interleaving(forest, e.leaf_ids)
         probs = [
             element_reach_probability(forest, e.leaf_ids, inter)
@@ -121,7 +126,7 @@ def test_04_fifty_stumps_vs_one_deep_tree():
     stump_cfg = TrainConfig(n_trees=50, n_splits=50, seed=0)
     tree_cfg = TrainConfig(n_trees=1, n_splits=50, seed=0)
     stumps, _ = train(ds, stump_cfg)
-    n_elems = len(stumps.enumerate_partition())
+    n_elems = len(enumerate_partition(stumps))
     res_s = kfold_lifelike(ds, 5, forest_generator(stump_cfg), seed=0)
     res_t = kfold_lifelike(ds, 5, forest_generator(tree_cfg), seed=0)
     elapsed = time.monotonic() - t0
@@ -145,9 +150,9 @@ def test_05_split_delta_equals_couple_curvature_gaps():
         m = ds.m
         pi = forest_a.pi
         node = forest_a.trees[rec.tree].nodes[rec.leaf]
-        before = {e.leaf_ids: e for e in forest_b.enumerate_partition()}
+        before = {e.leaf_ids: e for e in enumerate_partition(forest_b)}
         groups: dict[tuple, list] = {}
-        for e in forest_a.enumerate_partition():
+        for e in enumerate_partition(forest_a):
             if e.leaf_ids[rec.tree] in (node.left, node.right):
                 parent = list(e.leaf_ids)
                 parent[rec.tree] = rec.leaf
@@ -232,7 +237,7 @@ def test_07_conversion_divergence_bound():
         d_gf = {e.leaf_ids: p for e, p in support_distribution(gf)}
         d_ap = {e.leaf_ids: p for e, p in support_distribution(ap)}
         kl = sum(p * math.log(p / d_ap[k]) for k, p in d_gf.items() if p > 0)
-        bound = 2.0 * kappa * gf.expected_depth()
+        bound = 2.0 * kappa * expected_depth(gf)
         ok = ok and kappa > 0 and 0.0 <= kl < bound
         details.append(f"seed {seed}: KL {kl:.4f} < {bound:.4f}")
     report(7, "approximation divergence under branch-ratio bound", ok, "; ".join(details))
@@ -353,7 +358,7 @@ def test_11_samples_land_in_populated_cells_and_respect_one_hot():
     ds = synth_domain("circGauss", seed=0)
     forest, _ = train(ds, TrainConfig(n_trees=5, n_splits=25, seed=0))
     out = generate(forest, 100_000, seed=0)
-    counts = {e.leaf_ids: e.count for e in forest.enumerate_partition()}
+    counts = {e.leaf_ids: e.count for e in enumerate_partition(forest)}
     empty_hits = 0
     for i in range(out.m):
         vals = [out.columns[j][i] for j in range(out.d)]

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from genforest.data import CATEGORICAL, INTEGER, DataError, dataset_from_rows, synth_domain, REAL
+from genforest import forest as forest_module
+from genforest.data import CATEGORICAL, INTEGER, DataError, synth_domain
 from genforest.forest import GenerativeForest, SplitPredicate, Tree
 from genforest.measure import NumericInterval, Support, uniform_mass
 from genforest.sampler import generate
-from genforest.trainer import TrainConfig, full_poprisk, get_loss, train
+from genforest.trainer import TrainConfig, get_loss, train
 import oracles
-from oracles import node_mask, partition_element_of, stepping_generate
+from oracles import enumerate_partition, full_poprisk, node_mask, partition_element_of, path_to, stepping_generate
 
 
 def _manual_forest(toy2d, preds):
@@ -48,14 +49,14 @@ class TestTree:
         tree = Tree(toy2d.schema)
         li, ri = tree.split(tree.root, SplitPredicate(feature=0, threshold=0.5))
         lli, lri = tree.split(li, SplitPredicate(feature=1, threshold=0.5))
-        assert tree.path_to(lri) == [li, lri]
-        assert tree.path_to(ri) == [ri]
+        assert path_to(tree, lri) == [li, lri]
+        assert path_to(tree, ri) == [ri]
 
 
 class TestPartition:
     def test_two_crossed_stumps_four_elements(self, toy2d):
         forest = _manual_forest(toy2d, [(0, 0.5), (1, 0.5)])
-        elems = forest.enumerate_partition()
+        elems = enumerate_partition(forest)
         assert len(elems) == 4
         assert sorted(e.count for e in elems) == [2, 2, 2, 2]
 
@@ -63,12 +64,12 @@ class TestPartition:
         # stump at 0.5 crossed with stump at 0.25 on the same axis: the
         # (<=0.25, >0.5) combination is empty, leaving 3 elements
         forest = _manual_forest(toy2d, [(0, 0.5), (0, 0.25)])
-        elems = forest.enumerate_partition()
+        elems = enumerate_partition(forest)
         assert len(elems) == 3
 
     def test_partition_is_exhaustive(self, toy_forest, toy2d):
         forest, _ = toy_forest
-        elems = forest.enumerate_partition()
+        elems = enumerate_partition(forest)
         assert sum(e.count for e in elems) == toy2d.m
         total_u = sum(e.umass for e in elems)
         assert total_u == pytest.approx(1.0, abs=1e-9)
@@ -86,9 +87,9 @@ class TestPartition:
 
     def test_prune_zero_count(self, toy_forest):
         forest, _ = toy_forest
-        pruned = forest.enumerate_partition(prune_zero_count=True)
+        pruned = enumerate_partition(forest, prune_zero_count=True)
         assert all(e.count > 0 for e in pruned)
-        full = forest.enumerate_partition()
+        full = enumerate_partition(forest)
         assert len(pruned) <= len(full)
 
 
@@ -104,7 +105,7 @@ class TestDensity:
         forest, _ = toy_forest
         vol = forest.domain_volume()
         total = 0.0
-        for e in forest.enumerate_partition():
+        for e in enumerate_partition(forest):
             if e.umass > 0:
                 # density is constant on each element
                 mid = [
@@ -141,17 +142,29 @@ class TestDensity:
                     pts.append(x)
         return pts
 
-    def test_equals_the_oracle_in_both_modes(self, walk_forest):
+    def test_equals_the_oracle_in_both_modes(self, walk_forest, monkeypatch):
         eogt = walk_forest.to_eogt()
         points = self._query_points(walk_forest, np.random.default_rng(0))
         gf_masses = []
         for x in points:
             got = walk_forest.density(x)
             assert got == oracles.density(walk_forest, x)
-            assert eogt.density(x) == oracles.density(eogt, x)
+            got_eogt = eogt.density(x)
+            assert got_eogt == oracles.density(eogt, x)
+            # and the mass and volume of the point's single leaf tuple
+            ((_, sup, mass),) = oracles.leaf_tuples(eogt, x)
+            volume = uniform_mass(eogt.schema, sup) * eogt.domain_volume()
+            assert got_eogt == ((mass, True) if volume == 0.0 else (mass / volume, False))
             gf_masses.append(got[0])
         # both occupied cells and cells without training rows were queried
         assert min(gf_masses) == 0.0 < max(gf_masses)
+        assert not eogt.describe()["walk_full"]
+        # past cap 3 the EOGT walk builds every step below the root's
+        # children anew, and gives the same bytes
+        monkeypatch.setattr(forest_module, "WALK_NODE_CAP", 3)
+        capped = walk_forest.to_eogt()
+        assert [capped.density(x) for x in points] == [eogt.density(x) for x in points]
+        assert capped.describe()["walk_full"]
 
     def test_zero_width_cell_is_a_point_mass(self, toy2d):
         # x <= 0.10 (the domain's lower end) leaves the closed cell [0.10, 0.10]
@@ -183,8 +196,8 @@ class TestSerialization:
         forest.save(p)
         back = GenerativeForest.load(p, dataset=toy2d)
         assert back.T == forest.T
-        a = forest.enumerate_partition()
-        b = back.enumerate_partition()
+        a = enumerate_partition(forest)
+        b = enumerate_partition(back)
         assert [(e.leaf_ids, e.count) for e in a] == [(e.leaf_ids, e.count) for e in b]
 
     def test_roundtrip_keeps_node_ids(self, tmp_path):
@@ -198,8 +211,8 @@ class TestSerialization:
         back = GenerativeForest.load(p, dataset=ds)
         for t, u in zip(forest.trees, back.trees):
             assert [(n.pred, n.left, n.right) for n in t.nodes] == [(n.pred, n.left, n.right) for n in u.nodes]
-        a = forest.enumerate_partition(prune_zero_count=True)
-        b = back.enumerate_partition(prune_zero_count=True)
+        a = enumerate_partition(forest, prune_zero_count=True)
+        b = enumerate_partition(back, prune_zero_count=True)
         assert [(e.leaf_ids, e.count) for e in a] == [(e.leaf_ids, e.count) for e in b]
         loss = get_loss(cfg.loss)
         assert full_poprisk(back, loss) == full_poprisk(forest, loss)
@@ -317,7 +330,7 @@ class TestEogt:
         assert eogt.arc_p[0][root] == pytest.approx(0.5)  # 4 of 8 rows right
 
     def test_branch_prob_equals_the_oracle(self, walk_forest, monkeypatch):
-        # bit for bit, at every node and support a leaf_tuples() enumeration
+        # bit for bit, at every node and support the leaf tuple enumeration
         # reaches
         eogt = walk_forest.to_eogt()
         rule, pairs = eogt.branch_prob, []
@@ -328,7 +341,7 @@ class TestEogt:
             return p
 
         monkeypatch.setattr(eogt, "branch_prob", recorded)
-        eogt.leaf_tuples()
+        oracles.leaf_tuples(eogt)
         assert len(pairs) > 100
         assert all(got == want for got, want in pairs)
 
@@ -345,9 +358,9 @@ class TestEogt:
 
     def test_expected_depth_positive(self, toy_forest):
         forest, _ = toy_forest
-        d = forest.expected_depth()
+        d = oracles.expected_depth(forest)
         assert d > 0
-        assert forest.to_eogt().expected_depth() > 0
+        assert oracles.expected_depth(forest.to_eogt()) > 0
 
 
 class TestValidation:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from genforest.data import CATEGORICAL, MISSING_CODE, REAL, DataError, apply_mcar, dataset_from_rows
+from genforest import forest as forest_module
+from genforest import imputer as imputer_module
+from genforest.data import DataError, apply_mcar
 from genforest.imputer import (
     conditional_tuples,
     impute,
@@ -10,7 +12,8 @@ from genforest.imputer import (
     raw_row,
 )
 from genforest.trainer import TrainConfig, train
-from oracles import partition_element_of
+import oracles
+from oracles import enumerate_partition, partition_element_of
 
 
 class TestRawRow:
@@ -38,18 +41,32 @@ class TestConditionalTuples:
     def test_unobserved_gf_walk_is_the_pruned_partition(self, toy_forest, toy2d):
         forest, _ = toy_forest
         tuples = conditional_tuples(forest, [None] * forest.schema.d)
-        elems = forest.enumerate_partition(prune_zero_count=True)
+        elems = enumerate_partition(forest, prune_zero_count=True)
         assert [(t.support, t.mass) for t in tuples] == [(e.support, e.count / toy2d.m) for e in elems]
 
-    def test_gf_walk_equals_leaf_tuples_on_masked_rows(self, walk_forest):
+    def test_gf_walk_equals_leaf_tuples_on_masked_rows(self, walk_forest, monkeypatch):
+        # in both modes, and on an EOGT walk past cap 3, where every step
+        # below the root's children is built and not stored: the walk's
+        # tuples equal the pruned leaf tuples in value and order, and
+        # imputing from them gives the bytes of imputing from the leaf tuples
         ds = walk_forest.dataset
         masked, _ = apply_mcar(ds, 0.4, seed=3)
-        m = ds.m
-        for i in range(0, m, max(1, m // 150)):
-            x = raw_row(masked, i)
-            got = [(t.support.key(), t.mass) for t in conditional_tuples(walk_forest, x)]
-            want = [(sup.key(), len(rows) / m) for _, sup, rows in walk_forest.leaf_tuples(x, prune_empty=True)]
-            assert got == want
+        rows = masked.take_rows(np.arange(0, ds.m, max(1, ds.m // 150)), relearn_numeric=False)
+        for mode, cap in (("gf", None), ("eogt", None), ("eogt", 3)):
+            if cap is not None:
+                monkeypatch.setattr(forest_module, "WALK_NODE_CAP", cap)
+            model = walk_forest if mode == "gf" else walk_forest.to_eogt()
+            for i in range(rows.m):
+                x = raw_row(rows, i)
+                got = [(t.support.key(), t.mass) for t in conditional_tuples(model, x)]
+                want = [(t.support.key(), t.mass) for t in oracles.conditional_tuples(model, x)]
+                assert got == want
+            got = impute_dataset(model, rows, seed=5)
+            with monkeypatch.context() as mp:
+                mp.setattr(imputer_module, "conditional_tuples", oracles.conditional_tuples)
+                want = impute_dataset(model, rows, seed=5)
+            assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in want.columns]
+            assert model.describe()["walk_full"] == (cap is not None)
 
     def test_complete_row_eogt_mass_is_its_density(self, toy_forest, toy2d):
         eogt = toy_forest[0].to_eogt()

@@ -10,14 +10,16 @@ from genforest.forest import GenerativeForest
 from genforest.imputer import impute_dataset
 from genforest.measure import CatSubset, NumericInterval, Support
 from genforest.sampler import (
+    SamplerState,
+    _descend,
+    branch_probability,
     draw_uniform,
     generate,
-    path_interleavings,
+    init_sampling,
     sample_one,
-    support_distribution,
 )
 from genforest.trainer import TrainConfig, train
-from oracles import partition_element_of, stepping_generate
+from oracles import partition_element_of, path_interleavings, stepping_generate, support_distribution
 
 
 def walk_nodes(forest, expand=True):
@@ -27,8 +29,49 @@ def walk_nodes(forest, expand=True):
         node = stack.pop()
         out.append(node)
         if node.p is not None:
-            stack.extend((forest.walk_children(node) if expand else node.children) or ())
+            stack.extend((forest.walk_child(node, False), forest.walk_child(node, True)) if expand
+                         else node.children or ())
     return out
+
+
+def stepped_edge(forest, state, mass, checks):
+    """Follow the forced steps of the stepping path from ``state`` (changed
+    in place) to its next branching state or its cell, adding each split
+    feature's restriction to ``checks``. Returns the fields the walk node at
+    the end of this edge must hold: (t_idx, node, p, mass, skip, checks)."""
+    skip = 0
+    for t_idx, tree in enumerate(forest.trees):
+        while not tree.is_leaf(state.positions[t_idx]):
+            node = state.positions[t_idx]
+            p = branch_probability(forest, state, t_idx)
+            if 0.0 < p < 1.0:
+                return t_idx, node, p, mass, skip, tuple(checks.items())
+            n = tree.nodes[node]
+            _descend(forest, state, t_idx, n.right if p else n.left)
+            checks[n.pred.feature] = state.support.restrictions[n.pred.feature]
+            skip += 1
+    return forest.T, -1, None, mass, skip, tuple(checks.items())
+
+
+def assert_stored_edges_step(forest):
+    """Every stored walk node holds the position, coin, mass, forced steps
+    and per-edge checks that the stepping path gives along its edge, and a
+    stored cell holds the stepping path's support."""
+    m = forest.dataset.m if forest.mode == "gf" else None
+    state = init_sampling(forest)
+    stack = [(forest.walk_root(), state, stepped_edge(forest, state, 1.0, {}))]
+    while stack:
+        node, state, want = stack.pop()
+        assert (node.t_idx, node.node, node.p, node.mass, node.skip, node.checks) == want
+        if node.p is None:
+            assert node.support == state.support
+        for right, child in enumerate(node.children or ()):
+            n = forest.trees[node.t_idx].nodes[node.node]
+            sub = SamplerState(state.support, list(state.positions), state.rows)
+            _descend(forest, sub, node.t_idx, n.right if right else n.left)
+            mass = len(sub.rows) / m if m else node.mass * (node.p if right else 1.0 - node.p)
+            j = n.pred.feature
+            stack.append((child, sub, stepped_edge(forest, sub, mass, {j: sub.support.restrictions[j]})))
 
 
 class TestSupportDistribution:
@@ -114,8 +157,8 @@ class TestWalk:
         assert info["walk_cells"] == sum(n.p is None for n in stored)
         assert len(stored) <= forest_module.WALK_NODE_CAP
         assert info["walk_full"] == (len(stored) + 2 > forest_module.WALK_NODE_CAP)
-        assert all(0 < n.p < 1 and n.count is None for n in stored if n.p is not None)
-        assert all(n.checks == () for n in stored)  # only walk_cells reads them, on GF walks
+        assert all(0 < n.p < 1 for n in stored if n.p is not None)
+        assert_stored_edges_step(eogt)
 
     def test_reader_during_the_filling_expansion_gets_the_stored_child(self, walk_forest, monkeypatch):
         # a thread that meets a node while another thread's expansion of it
@@ -145,9 +188,11 @@ class TestWalk:
         cells = [n for n in nodes if n.p is None]
         assert len(branching) <= m - 1
         assert len(cells) == len(branching) + 1
-        assert sum(c.count for c in cells) == m
+        counts = [round(c.mass * m) for c in cells]
+        assert [c.mass for c in cells] == [k / m for k in counts] and sum(counts) == m
         assert all(0 < n.p < 1 and n.rows is None and n.support is None for n in branching)
         assert all(c.support is not None and c.rows is None for c in cells)
+        assert_stored_edges_step(walk_forest)
 
     def test_built_lazily(self, toy2d):
         forest, _ = train(toy2d, TrainConfig(n_trees=2, n_splits=3, seed=0))
@@ -169,11 +214,12 @@ class TestWalk:
         ds = synth_domain("circGauss", seed=1)
         cfg = TrainConfig(n_trees=4, n_splits=40, seed=0)
         masked, _ = apply_mcar(ds, 0.3, seed=2)
+        masked_head = masked.take_rows(np.arange(300), relearn_numeric=False)
         expanded = []  # the nodes themselves, so that no id is reused
         expand = GenerativeForest._walk_expand
 
         def counted(self, node):
-            expanded.append(node)
+            expanded.append((self.mode, node))
             expand(self, node)
 
         monkeypatch.setattr(GenerativeForest, "_walk_expand", counted)
@@ -189,13 +235,14 @@ class TestWalk:
                 imp = impute_dataset(forest, masked, seed=4, threads=threads)
                 eogt_model = forest.to_eogt()
                 eogt = generate(eogt_model, 300, seed=5, threads=threads)
+                eogt_imp = impute_dataset(eogt_model, masked_head, seed=6, threads=threads)
             finally:
                 sys.setswitchinterval(old)
-            assert expanded and len({id(n) for n in expanded}) == len(expanded)
-            assert any(n.count is None for n in expanded)  # EOGT nodes were expanded too
+            assert expanded and len({id(n) for _, n in expanded}) == len(expanded)
+            assert {mode for mode, _ in expanded} == {"gf", "eogt"}
             info = eogt_model.describe()
             assert info["walk_full"] and info["walk_branching_nodes"] + info["walk_cells"] <= 200
-            outputs.append([c.tobytes() for c in gen.columns + imp.columns + eogt.columns])
+            outputs.append([c.tobytes() for c in gen.columns + imp.columns + eogt.columns + eogt_imp.columns])
         assert all(out == outputs[0] for out in outputs[1:])
 
 

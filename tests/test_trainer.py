@@ -7,12 +7,12 @@ from genforest.forest import GenerativeForest, SplitPredicate, Tree, assignment_
 from genforest.measure import cell_risk, get_loss
 from genforest.trainer import (
     TrainConfig,
-    full_poprisk,
     pick_tree_and_leaf,
     risk_delta,
     train,
     write_history_csv,
 )
+from oracles import full_poprisk
 
 
 class TestConfig:
