@@ -75,7 +75,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     forest = _load_model(args.model, args.train)
-    out = generate(forest, args.n, seed=args.seed, order=args.order, threads=args.threads)
+    out = generate(forest, args.n, seed=args.seed, threads=args.threads)
     out.to_csv(args.out)
     print(f"wrote {out.m} rows to {args.out}")
     return 0
@@ -190,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--model", required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--order", choices=["iterative", "random"], default="iterative")
     g.add_argument("--train", help="training CSV (needed by gf models)")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_generate)

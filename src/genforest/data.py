@@ -43,10 +43,6 @@ class FeatureDomain:
         else:
             raise DataError(f"unknown feature kind {self.kind!r}")
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in (INTEGER, REAL)
-
     def n_values(self) -> int:
         """Cardinality for counting-measure features (categorical / integer)."""
         if self.kind == CATEGORICAL:
@@ -100,12 +96,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.schema.d
-
-    def is_missing(self, i: int, j: int) -> bool:
-        col = self.columns[j]
-        if self.schema.domains[j].kind == CATEGORICAL:
-            return col[i] == MISSING_CODE
-        return bool(np.isnan(col[i]))
 
     def missing_mask(self) -> np.ndarray:
         """Boolean (m, d) array, True where a cell is missing."""
@@ -402,22 +392,3 @@ def synth_domain(name: str, seed: int = 0) -> Dataset:
     )
     schema = Schema(("x0", "x1"), domains)
     return Dataset(schema, [pts[:, 0].copy(), pts[:, 1].copy()])
-
-
-def dataset_from_rows(names, kinds, rows) -> Dataset:
-    """Small-test helper: build a Dataset from python row values (None = missing)."""
-    d = len(names)
-    columns = []
-    domains = []
-    for j in range(d):
-        vals = [r[j] for r in rows]
-        present = [v for v in vals if v is not None]
-        if kinds[j] == CATEGORICAL:
-            cats = tuple(sorted({str(v) for v in present}))
-            code = {c: k for k, c in enumerate(cats)}
-            columns.append(np.array([MISSING_CODE if v is None else code[str(v)] for v in vals], dtype=np.int32))
-            domains.append(FeatureDomain(CATEGORICAL, categories=cats))
-        else:
-            columns.append(np.array([np.nan if v is None else float(v) for v in vals], dtype=np.float64))
-            domains.append(FeatureDomain(kinds[j], lo=float(min(present)), hi=float(max(present))))
-    return Dataset(Schema(tuple(names), tuple(domains)), columns)

@@ -353,7 +353,9 @@ class GenerativeForest:
         each step. A forced run is kept iff its end support holds the
         observed values of the features it split on: restrictions only
         shrink along a path, so this is the test of every step's
-        restriction."""
+        restriction. A side not yet stored is built only if its tree support
+        on the split feature holds the observed value; a side that misses it
+        fails its first check."""
         out = []
         stack = [self.walk_root()]
         while stack:
@@ -365,9 +367,17 @@ class GenerativeForest:
             else:
                 if node.p is None:
                     out.append(node)
-                else:
+                elif node.children is not None:
                     # (left, right): the right side is explored first
-                    stack.extend(node.children or (self.walk_child(node, False), self.walk_child(node, True)))
+                    stack.extend(node.children)
+                else:
+                    # the same order, building only the sides that can hold x
+                    tree = self.trees[node.t_idx]
+                    n = tree.nodes[node.node]
+                    x = observed[n.pred.feature]
+                    for right, child in ((False, n.left), (True, n.right)):
+                        if x is None or tree.supports[child].restrictions[n.pred.feature].contains(x):
+                            stack.append(self.walk_child(node, right))
         return out
 
     def describe(self) -> dict:

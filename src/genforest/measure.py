@@ -225,14 +225,6 @@ class LossSpec:
             raise ValueError(self.name)
         return out if out.ndim else float(out)
 
-    def g_pi(self, t, pi: float):
-        """Perspective form (pi*t + 1 - pi) * bayes_risk(pi*t / (pi*t + 1 - pi)),
-        the Jensen-gap potential of the partition identity."""
-        t = np.asarray(t, dtype=float)
-        denom = pi * t + (1.0 - pi)
-        out = denom * self.bayes_risk(np.where(denom > 0, pi * t / np.maximum(denom, 1e-300), 0.0))
-        return out if out.ndim else float(out)
-
 
 LOSSES = {
     "square": LossSpec("square", kappa=2.0),

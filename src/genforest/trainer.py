@@ -15,14 +15,8 @@ from itertools import chain, combinations, groupby
 import numpy as np
 
 from .data import CATEGORICAL, INTEGER, Dataset
-from .forest import GenerativeForest, SplitPredicate, Tree, assignment_arrays
-from .measure import (
-    LossSpec,
-    cell_risk,
-    get_loss,
-    restriction_mask,
-    uniform_mass,
-)
+from .forest import GenerativeForest, SplitPredicate, Tree
+from .measure import cell_risk, get_loss, restriction_mask, uniform_mass
 
 
 @dataclass(frozen=True)
@@ -436,27 +430,6 @@ def split_pred(trees, t_idx, leaf, rows, ds, cfg, loss, iteration, assign):
     if best is None:
         return None
     return best[3], best[0]
-
-
-def risk_delta(forest: GenerativeForest, t_idx: int, leaf: int, pred: SplitPredicate, loss: LossSpec) -> float:
-    """Incremental poprisk change of applying ``pred`` at a leaf of a trained
-    GF; restricted to the affected cells, exact."""
-    rows = forest.leaf_rows[t_idx][leaf]
-    tree = forest.trees[t_idx]
-    assign = assignment_arrays(forest.leaf_rows, forest.dataset.m)
-    cells = _affected_cells(forest.trees, t_idx, tree.supports[leaf], rows, forest.dataset, assign)
-    j = pred.feature
-    dom = forest.schema.domains[j]
-    col = forest.dataset.routing_columns()[j]
-    if pred.threshold is not None:
-        deltas = _score_numeric(
-            cells, j, dom, np.array([pred.threshold]), col, loss, forest.pi, forest.dataset.m
-        )
-    else:
-        deltas = _score_categorical(
-            cells, j, dom, [pred.subset], col, loss, forest.pi, forest.dataset.m
-        )
-    return float(deltas[0])
 
 
 # ---------------------------------------------------------------------------

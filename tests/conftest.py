@@ -1,8 +1,27 @@
 import numpy as np
 import pytest
 
-from genforest.data import CATEGORICAL, INTEGER, REAL, Dataset, dataset_from_rows, synth_domain
+from genforest.data import CATEGORICAL, INTEGER, MISSING_CODE, REAL, Dataset, FeatureDomain, Schema, synth_domain
 from genforest.trainer import TrainConfig, train
+
+
+def dataset_from_rows(names, kinds, rows) -> Dataset:
+    """A Dataset from python row values (None = missing), with each domain
+    learned from the values present."""
+    columns = []
+    domains = []
+    for j in range(len(names)):
+        vals = [r[j] for r in rows]
+        present = [v for v in vals if v is not None]
+        if kinds[j] == CATEGORICAL:
+            cats = tuple(sorted({str(v) for v in present}))
+            code = {c: k for k, c in enumerate(cats)}
+            columns.append(np.array([MISSING_CODE if v is None else code[str(v)] for v in vals], dtype=np.int32))
+            domains.append(FeatureDomain(CATEGORICAL, categories=cats))
+        else:
+            columns.append(np.array([np.nan if v is None else float(v) for v in vals], dtype=np.float64))
+            domains.append(FeatureDomain(kinds[j], lo=float(min(present)), hi=float(max(present))))
+    return Dataset(Schema(tuple(names), tuple(domains)), columns)
 
 
 @pytest.fixture

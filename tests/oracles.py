@@ -2,20 +2,22 @@
 forest's cell of a complete point found by descending every tree, GF rows
 taken from m-long per-node row masks, the EOGT branch probability from full
 support intersections, the EOGT cell probability chained along the leaf
-paths, generation by one star update per tree step, the leaf tuples of the
-cross-tree partition built by the sequential chop over trees, the exact law
-of the sampler's final cell, and the empirical masses and losses that the
-training objective is checked with."""
+paths, the per-step sampler (one star update per tree step) and generation
+with it, the leaf tuples of the cross-tree partition built by the sequential
+chop over trees, the exact law of the sampler's final cell in either tree
+order, and the empirical masses, losses and split deltas that the training
+objective is checked with."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from genforest.data import CATEGORICAL, Dataset
-from genforest.forest import GenerativeForest, Tree, approx_branch_prob
+from genforest.forest import GenerativeForest, SplitPredicate, Tree, approx_branch_prob, assignment_arrays
 from genforest.imputer import ConditionalTuple
 from genforest.measure import LossSpec, Support, cell_risk, restriction_mask, uniform_mass
-from genforest.sampler import SamplerState, _descend, branch_probability, draw_uniform, init_sampling, update_support
+from genforest.sampler import branch_probability, draw_uniform
+from genforest.trainer import _affected_cells, _score_categorical, _score_numeric
 
 PARTITION_CAP_DEFAULT = 10**6
 
@@ -31,6 +33,38 @@ class PartitionElement:
     count: int | None
     umass: float
     rows: np.ndarray | None = None
+
+
+@dataclass
+class SamplerState:
+    """One in-flight observation of the per-step sampler: current
+    intersection support, per-tree position, and (GF mode) the row indices
+    still compatible."""
+
+    support: Support
+    positions: list[int]
+    rows: np.ndarray | None
+
+
+def init_sampling(forest: GenerativeForest) -> SamplerState:
+    rows = np.arange(forest.dataset.m) if forest.mode == "gf" else None
+    return SamplerState(
+        support=Support.full(forest.schema),
+        positions=[t.root for t in forest.trees],
+        rows=rows,
+    )
+
+
+def descend(forest: GenerativeForest, state: SamplerState, t_idx: int, child: int) -> None:
+    """Move tree ``t_idx`` to ``child`` of its current node and shrink the
+    support (and the GF rows) accordingly. In place."""
+    tree = forest.trees[t_idx]
+    j = tree.nodes[state.positions[t_idx]].pred.feature
+    new_r = state.support.restrictions[j].intersect(tree.supports[child].restrictions[j])
+    if state.rows is not None:
+        state.rows = state.rows[forest.node_member_mask(t_idx, child, state.rows)]
+    state.support = state.support.replace(j, new_r)
+    state.positions[t_idx] = child
 
 
 def path_to(tree: Tree, leaf: int) -> list[int]:
@@ -144,13 +178,17 @@ def density(forest: GenerativeForest, values) -> tuple[float, bool]:
 
 
 def stepping_generate(forest: GenerativeForest, n: int, seed: int) -> list[np.ndarray]:
-    """``generate``'s columns from one star update per tree step in iterative
+    """``generate``'s columns from the per-step sampler in iterative tree
     order, with the per-row streams of ``generate``."""
     rows = []
     for stream in np.random.SeedSequence(seed).spawn(n):
         rng = np.random.default_rng(stream)
         state = init_sampling(forest)
-        update_support(forest, state, rng)
+        for t_idx, tree in enumerate(forest.trees):
+            while not tree.is_leaf(state.positions[t_idx]):
+                node = tree.nodes[state.positions[t_idx]]
+                p = branch_probability(forest, state, t_idx)
+                descend(forest, state, t_idx, node.right if rng.random() < p else node.left)
         rows.append(draw_uniform(forest.schema, state.support, rng))
     return [np.array([r[j] for r in rows], dtype=np.int32 if d.kind == CATEGORICAL else np.float64)
             for j, d in enumerate(forest.schema.domains)]
@@ -294,7 +332,7 @@ def support_distribution(forest: GenerativeForest, order: str = "iterative") -> 
                 if pc == 0.0:
                     continue
                 sub = SamplerState(state.support, list(state.positions), state.rows)
-                _descend(forest, sub, t_idx, child)
+                descend(forest, sub, t_idx, child)
                 walk(sub, prob * w * pc)
 
     walk(init_sampling(forest), 1.0)
@@ -318,7 +356,7 @@ def element_reach_probability(forest: GenerativeForest, leaf_ids, interleaving) 
         prob *= p if target == node.right else 1.0 - p
         if prob == 0.0:
             return 0.0
-        _descend(forest, state, t_idx, target)
+        descend(forest, state, t_idx, target)
         pos[t_idx] += 1
     assert all(pos[i] == len(paths[i]) for i in range(forest.T)), "interleaving does not exhaust the paths"
     return prob
@@ -380,3 +418,33 @@ def partial_loss(loss: LossSpec, y: int, u) -> float:
     if loss.name == "matusita":
         return np.sqrt((1.0 - u) / u) if y == 1 else np.sqrt(u / (1.0 - u))
     raise ValueError(loss.name)
+
+
+def g_pi(loss: LossSpec, t, pi: float):
+    """Perspective form (pi*t + 1 - pi) * bayes_risk(pi*t / (pi*t + 1 - pi))
+    of ``loss``, the Jensen-gap potential of the partition identity."""
+    t = np.asarray(t, dtype=float)
+    denom = pi * t + (1.0 - pi)
+    out = denom * loss.bayes_risk(np.where(denom > 0, pi * t / np.maximum(denom, 1e-300), 0.0))
+    return out if out.ndim else float(out)
+
+
+def risk_delta(forest: GenerativeForest, t_idx: int, leaf: int, pred: SplitPredicate, loss: LossSpec) -> float:
+    """Incremental poprisk change of applying ``pred`` at a leaf of a trained
+    GF; restricted to the affected cells, exact."""
+    rows = forest.leaf_rows[t_idx][leaf]
+    tree = forest.trees[t_idx]
+    assign = assignment_arrays(forest.leaf_rows, forest.dataset.m)
+    cells = _affected_cells(forest.trees, t_idx, tree.supports[leaf], rows, forest.dataset, assign)
+    j = pred.feature
+    dom = forest.schema.domains[j]
+    col = forest.dataset.routing_columns()[j]
+    if pred.threshold is not None:
+        deltas = _score_numeric(
+            cells, j, dom, np.array([pred.threshold]), col, loss, forest.pi, forest.dataset.m
+        )
+    else:
+        deltas = _score_categorical(
+            cells, j, dom, [pred.subset], col, loss, forest.pi, forest.dataset.m
+        )
+    return float(deltas[0])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from genforest.cli import run
-from genforest.data import INTEGER, REAL, apply_mcar, dataset_from_rows, synth_domain
+from genforest.data import INTEGER, REAL, apply_mcar, synth_domain
 from genforest.evaluator import (
     copy_generator,
     forest_generator,
@@ -23,31 +23,29 @@ from genforest.evaluator import (
 from genforest.forest import GenerativeForest, SplitPredicate, Tree
 from genforest.imputer import impute_dataset, marginal_impute
 from genforest.measure import get_loss
-from genforest.sampler import (
-    SamplerState,
-    _descend,
-    branch_probability,
-    generate,
-    init_sampling,
-)
+from genforest.sampler import branch_probability, generate
 from genforest.trainer import (
     TrainConfig,
     _leaf_only_cells,
     _numeric_candidates,
     _score_numeric,
-    risk_delta,
     train,
 )
 from oracles import (
+    SamplerState,
+    descend,
     element_reach_probability,
     enumerate_partition,
     expected_depth,
     full_poprisk,
+    g_pi,
+    init_sampling,
     path_interleavings,
     path_to,
+    risk_delta,
     support_distribution,
 )
-from tests.conftest import random_dataset
+from tests.conftest import dataset_from_rows, random_dataset
 
 
 def report(num: int, name: str, ok: bool, details: str = "") -> None:
@@ -163,7 +161,7 @@ def test_05_split_delta_equals_couple_curvature_gaps():
                 assert pe.count == e.count and abs(pe.umass - e.umass) < 1e-15
 
         def g_term(count, umass):
-            return umass * loss.g_pi((count / m) / umass, pi) if umass > 0 else 0.0
+            return umass * g_pi(loss, (count / m) / umass, pi) if umass > 0 else 0.0
 
         delta = 0.0
         for parent_key, children in groups.items():
@@ -218,8 +216,8 @@ def _realized_log_ratio_max(gf, ap) -> float:
             kmax = max(kmax, abs(math.log(qg / qe)))
             sg2 = SamplerState(sg.support, list(sg.positions), sg.rows)
             se2 = SamplerState(se.support, list(se.positions), None)
-            _descend(gf, sg2, t_idx, child)
-            _descend(ap, se2, t_idx, child)
+            descend(gf, sg2, t_idx, child)
+            descend(ap, se2, t_idx, child)
             walk(sg2, se2)
 
     walk(init_sampling(gf), init_sampling(ap))

@@ -39,12 +39,6 @@ class TestFlows:
         assert code == 0
         assert load_csv(out).m == 20
 
-    def test_generate_random_order(self, tmp_path, toy_csv, model_path):
-        out = tmp_path / "gen.csv"
-        code = run(["generate", "--model", str(model_path), "--train", str(toy_csv),
-                    "--n", "5", "--order", "random", "--out", str(out)])
-        assert code == 0
-
     def test_density(self, tmp_path, toy_csv, model_path):
         out = tmp_path / "dens.csv"
         code = run(["density", "--model", str(model_path), "--train", str(toy_csv),

@@ -12,12 +12,12 @@ from genforest.data import (
     DataError,
     Dataset,
     apply_mcar,
-    dataset_from_rows,
     load_csv,
     load_mask,
     save_mask,
     synth_domain,
 )
+from tests.conftest import dataset_from_rows
 
 
 class TestSynth:
@@ -60,7 +60,7 @@ class TestCsv:
         path = tmp_path / "q.csv"
         path.write_text("a\n1.0\n?\n3.0\n")
         ds = load_csv(path)
-        assert ds.is_missing(1, 0)
+        assert ds.missing_mask()[1, 0]
 
     def test_given_schema_keeps_its_codes(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -70,7 +70,7 @@ class TestCsv:
         ds = load_csv(path, schema=schema)
         assert ds.schema is schema
         assert ds.columns[2].tolist() == [1, MISSING_CODE]
-        assert ds.columns[0][0] == 7.0 and ds.is_missing(1, 0)  # outside the domain, kept
+        assert ds.columns[0][0] == 7.0 and ds.missing_mask()[1, 0]  # outside the domain, kept
 
     @pytest.mark.parametrize("body, message", [
         ("a,c,b\n1,x,1.5\n", "does not match"),

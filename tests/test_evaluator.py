@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genforest.data import CATEGORICAL, REAL, dataset_from_rows, synth_domain
+from genforest.data import CATEGORICAL, REAL, synth_domain
 from genforest.evaluator import (
     TrainStats,
     copy_generator,
@@ -16,6 +16,7 @@ from genforest.evaluator import (
     uniform_generator,
 )
 from genforest.trainer import TrainConfig
+from tests.conftest import dataset_from_rows
 
 
 @pytest.fixture

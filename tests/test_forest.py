@@ -166,6 +166,39 @@ class TestDensity:
         assert [capped.density(x) for x in points] == [eogt.density(x) for x in points]
         assert capped.describe()["walk_full"]
 
+    def test_capped_eogt_query_builds_one_side_per_unstored_node(self, walk_forest, monkeypatch):
+        # past the cap a complete point's query builds, at each branching
+        # node on its path whose children are not stored, only the side that
+        # holds the point
+        monkeypatch.setattr(forest_module, "WALK_NODE_CAP", 3)
+        eogt = walk_forest.to_eogt()
+        eogt.walk_child(eogt.walk_root(), False)
+        assert eogt.describe()["walk_full"]
+        built = []
+        walk_side = GenerativeForest._walk_side
+
+        def counted(self, node, right, rows):
+            built.append((node.t_idx, node.node))
+            return walk_side(self, node, right, rows)
+
+        monkeypatch.setattr(GenerativeForest, "_walk_side", counted)
+        n_unstored = 0
+        for x in self._query_points(walk_forest, np.random.default_rng(1)):
+            built.clear()
+            eogt.density(x)
+            got = list(built)
+            unstored, node = [], eogt.walk_root()
+            while all(r.contains(x[j]) for j, r in node.checks) and node.p is not None:
+                tree = eogt.trees[node.t_idx]
+                n = tree.nodes[node.node]
+                j = n.pred.feature
+                if node.children is None:
+                    unstored.append((node.t_idx, node.node))
+                node = eogt.walk_child(node, tree.supports[n.right].restrictions[j].contains(x[j]))
+            assert got == unstored
+            n_unstored += len(unstored)
+        assert n_unstored > 0
+
     def test_zero_width_cell_is_a_point_mass(self, toy2d):
         # x <= 0.10 (the domain's lower end) leaves the closed cell [0.10, 0.10]
         forest = _manual_forest(toy2d, [(0, 0.10), (1, 0.5)])

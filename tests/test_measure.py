@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genforest.data import CATEGORICAL, REAL, dataset_from_rows
+from genforest.data import CATEGORICAL, REAL
 from genforest.measure import (
     LOSSES,
     CatSubset,
@@ -15,7 +15,8 @@ from genforest.measure import (
     get_loss,
     uniform_mass,
 )
-from oracles import compatible_rows, empirical_mass, mixture_mass, partial_loss, poprisk_from_cells
+from oracles import compatible_rows, empirical_mass, g_pi, mixture_mass, partial_loss, poprisk_from_cells
+from tests.conftest import dataset_from_rows
 
 
 class TestRestrictions:
@@ -126,7 +127,7 @@ class TestLosses:
     def test_g_pi_concave(self, name):
         loss = get_loss(name)
         t = np.linspace(0.0, 5.0, 200)
-        g = loss.g_pi(t, 0.5)
+        g = g_pi(loss, t, 0.5)
         second = np.diff(g, 2)
         assert np.all(second <= 1e-10)
 

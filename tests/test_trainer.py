@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from genforest import trainer
-from genforest.data import CATEGORICAL, INTEGER, REAL, FeatureDomain, dataset_from_rows
+from genforest.data import CATEGORICAL, INTEGER, REAL, FeatureDomain
 from genforest.forest import GenerativeForest, SplitPredicate, Tree, assignment_arrays
 from genforest.measure import cell_risk, get_loss
 from genforest.trainer import (
     TrainConfig,
     pick_tree_and_leaf,
-    risk_delta,
     train,
     write_history_csv,
 )
-from oracles import full_poprisk
+from oracles import full_poprisk, risk_delta
+from tests.conftest import dataset_from_rows
 
 
 class TestConfig:
