@@ -81,13 +81,18 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _load_mask_for(path, ds) -> np.ndarray:
+    mask = load_mask(path)
+    if mask.shape != (ds.m, ds.d):
+        raise DataError(f"mask shape {mask.shape} does not match data shape {(ds.m, ds.d)}")
+    return mask
+
+
 def cmd_impute(args) -> int:
     forest = _load_model(args.model, args.train)
     ds = load_csv(args.data, schema=forest.schema)
     if args.mask:
-        mask = load_mask(args.mask)
-        if mask.shape != (ds.m, ds.d):
-            raise DataError("mask shape does not match data")
+        mask = _load_mask_for(args.mask, ds)
         columns = [c.copy() for c in ds.columns]
         for j, dom in enumerate(ds.schema.domains):
             holes = np.flatnonzero(mask[:, j])
@@ -126,7 +131,9 @@ def cmd_density(args) -> int:
 def cmd_eval_impute_metrics(args) -> int:
     truth = load_csv(args.truth)
     imputed = load_csv(args.imputed, schema=truth.schema)
-    mask = load_mask(args.mask)
+    if imputed.m != truth.m:
+        raise DataError(f"imputed data has {imputed.m} rows, truth has {truth.m}")
+    mask = _load_mask_for(args.mask, truth)
     out = {
         "perr": evaluator.perr(imputed, truth, mask),
         "rmse": evaluator.rmse(imputed, truth, mask),

@@ -322,10 +322,7 @@ def save_mask(mask: np.ndarray, path) -> None:
 
 
 def load_mask(path) -> np.ndarray:
-    arr = np.loadtxt(path, delimiter=",", dtype=int)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return arr.astype(bool)
+    return np.loadtxt(path, delimiter=",", dtype=int, ndmin=2).astype(bool)
 
 
 SYNTH_SIZES = {"ringGauss": 1600, "circGauss": 2200, "gridGauss": 2500, "randGauss": 3800}

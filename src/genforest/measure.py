@@ -1,6 +1,5 @@
-"""Supports (axis-aligned domain restrictions), uniform masses, row
-membership of a restriction, and the strictly proper losses driving the
-splitting criterion."""
+"""Supports (axis-aligned domain restrictions), uniform masses, and the
+strictly proper losses driving the splitting criterion."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, INTEGER, MISSING_CODE, FeatureDomain, Schema
+from .data import CATEGORICAL, INTEGER, FeatureDomain, Schema
 
 
 @dataclass(frozen=True)
@@ -168,27 +167,6 @@ def uniform_mass(schema: Schema, s: Support) -> float:
         if out == 0.0:
             return 0.0
     return out
-
-
-def restriction_mask(dom: FeatureDomain, r: Restriction, col: np.ndarray) -> np.ndarray:
-    """Vectorized membership (missing = wildcard) of a column slice."""
-    if dom.kind == CATEGORICAL:
-        missing = col == MISSING_CODE
-        if len(r.codes) == len(dom.categories):
-            return np.ones(len(col), dtype=bool)
-        sel = np.zeros(len(dom.categories), dtype=bool)
-        sel[list(r.codes)] = True
-        ok = np.zeros(len(col), dtype=bool)
-        obs = ~missing
-        ok[obs] = sel[col[obs]]
-        return ok | missing
-    missing = np.isnan(col)
-    if isinstance(r, IntRange):
-        ok = (col >= r.a) & (col <= r.b)
-    else:
-        ok = (col > r.lo) if r.lo_open else (col >= r.lo)
-        ok &= col <= r.hi
-    return ok | missing
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations, groupby, islice
 
 import numpy as np
 
 from .data import CATEGORICAL, INTEGER, Dataset
 from .forest import GenerativeForest, SplitPredicate, Tree
-from .measure import cell_risk, get_loss, restriction_mask, uniform_mass
+from .measure import cell_risk, get_loss, uniform_mass
+
+# random candidate subsets above ``TrainConfig.cat_cutoff``
+CAT_SAMPLE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -26,8 +29,10 @@ class TrainConfig:
     loss: str = "square"
     pi: float = 0.5
     mode: str = "gf"
-    cat_cutoff: int = 22  # exhaustive subset search up to this many modalities
-    cat_sample_size: int = 64  # random candidate subsets above the cutoff
+    # a leaf keeping up to this many modalities scores all 2^(k-1) - 1 subsets
+    # (memory bounded by one block, time not); above it, CAT_SAMPLE_SIZE
+    # random ones
+    cat_cutoff: int = 22
     min_child_rows: int = 1
     seed: int = 0
 
@@ -196,8 +201,8 @@ def _flatten_cells(cells: Cells, col):
 
 
 # (cell, candidate) pairs per candidate block in _score_numeric and (subset,
-# cell) pairs per subset chunk in _score_categorical: a block and the float
-# temporaries of its size stay in a 2 MB cache
+# cell) pairs per subset block of _categorical_candidates: a block and the
+# float temporaries of its size stay in a 2 MB cache
 _SCORE_BLOCK = 1 << 14
 
 
@@ -300,20 +305,16 @@ def _subset_rows(subsets, n_cats):
     return out
 
 
-def _subset_chunks(n_subsets, n_cells):
-    """Subset ranges of about ``_SCORE_BLOCK`` (subset, cell) pairs each."""
-    step = max(1, _SCORE_BLOCK // max(n_cells, 1))
-    return ((s0, min(s0 + step, n_subsets)) for s0 in range(0, n_subsets, step))
+def _score_categorical(cells: Cells, j, dom, blocks, col, loss, pi, m, min_rows):
+    """Risk deltas of the admissible right-branch subsets of each 0/1 block
+    in ``blocks``: yields (admissible rows, their deltas) per block that keeps
+    any. A subset is admissible when both children keep ``min_rows`` rows.
+    ``col`` is the full-length routing column (no missing).
 
-
-def _score_categorical(cells: Cells, j, dom, subsets, col, loss, pi, m):
-    """Risk delta of every candidate right-branch subset. ``col`` is the
-    full-length routing column (no missing).
-
-    Each chunk of subsets is one (subsets, cells) block: the children's row
-    and modality counts are products of the 0/1 subset rows with the per-cell
-    code counts and modality masks, sums of integers and hence exact, and each
-    subset's risk is summed over its contiguous row of cells."""
+    The children's row and modality counts are products of the 0/1 subset
+    rows with the per-cell code counts and modality masks, sums of integers
+    and hence exact, and each subset's risk is summed over its contiguous row
+    of cells."""
     n_cats = len(dom.categories)
     n_cells = len(cells)
     fracs = cells.fracs
@@ -321,21 +322,25 @@ def _score_categorical(cells: Cells, j, dom, subsets, col, loss, pi, m):
     sizes, cell_flat, vals = _flatten_cells(cells, col)
     counts = np.bincount(
         cell_flat * n_cats + vals.astype(np.int64), minlength=n_cells * n_cats
-    ).reshape(n_cells, n_cats).astype(float)
+    ).reshape(n_cells, n_cats)
+    code_rows = counts.sum(axis=0)
+    counts = counts.astype(float)
     sel = cells.restr[j][1].astype(float)
     pre = float(np.sum(cell_risk(loss, sizes / m, u_rest * fracs[:, j], pi)))
+    n_rows = len(vals)
 
-    deltas = np.empty(len(subsets))
-    for s0, s1 in _subset_chunks(len(subsets), n_cells):
-        right = _subset_rows(subsets[s0:s1], n_cats)
+    for right in blocks:
+        n_r = right @ code_rows
+        right = right[(n_r >= min_rows) & (n_rows - n_r >= min_rows)]
+        if not len(right):
+            continue
         left = 1.0 - right
         r_r = (right @ counts.T) / m
         r_l = (left @ counts.T) / m
         u_r = u_rest * (right @ sel.T) / n_cats
         u_l = u_rest * (left @ sel.T) / n_cats
         post_r = cell_risk(loss, r_r, u_r, pi).sum(axis=1)
-        deltas[s0:s1] = post_r + cell_risk(loss, r_l, u_l, pi).sum(axis=1) - pre
-    return deltas
+        yield right, post_r + cell_risk(loss, r_l, u_l, pi).sum(axis=1) - pre
 
 
 def _numeric_candidates(col):
@@ -349,29 +354,28 @@ def _numeric_candidates(col):
     return 0.5 * (vals[:-1] + vals[1:])
 
 
-def _categorical_candidates(codes, cfg, rng_key):
-    """Right-branch subsets: all binary partitions of the leaf's modalities
-    when small, a seeded random sample otherwise. Canonical order: anchored on
+def _categorical_candidates(codes, cutoff, rng_key, n_cats, n_cells):
+    """Right-branch subsets as 0/1 blocks of about ``_SCORE_BLOCK`` (subset,
+    cell) pairs: all binary partitions of the leaf's modalities when at most
+    ``cutoff``, a seeded random sample otherwise. Canonical order: anchored on
     the smallest code staying left, subsets by size then lexicographically."""
     codes = sorted(codes)
-    if len(codes) < 2:
-        return []
     rest = codes[1:]
-    if len(codes) <= cfg.cat_cutoff:
-        out = []
-        for r in range(1, len(rest) + 1):
-            out.extend(frozenset(c) for c in combinations(rest, r))
-        return out
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_key))
-    seen = set()
-    for _ in range(cfg.cat_sample_size * 2):
-        mask = rng.random(len(rest)) < 0.5
-        sub = frozenset(np.asarray(rest)[mask].tolist())
-        if sub:
-            seen.add(sub)
-        if len(seen) >= cfg.cat_sample_size:
-            break
-    return sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
+    if len(codes) <= cutoff:
+        subsets = chain.from_iterable(combinations(rest, r) for r in range(1, len(rest) + 1))
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_key))
+        seen = set()
+        for _ in range(CAT_SAMPLE_SIZE * 2):
+            sub = tuple(np.asarray(rest)[rng.random(len(rest)) < 0.5].tolist())
+            if sub:
+                seen.add(sub)
+            if len(seen) >= CAT_SAMPLE_SIZE:
+                break
+        subsets = iter(sorted(seen, key=lambda s: (len(s), s)))
+    step = max(1, _SCORE_BLOCK // max(n_cells, 1))
+    while chunk := list(islice(subsets, step)):
+        yield _subset_rows(chunk, n_cats)
 
 
 def split_pred(trees, t_idx, leaf, rows, ds, cfg, loss, iteration, assign):
@@ -389,29 +393,24 @@ def split_pred(trees, t_idx, leaf, rows, ds, cfg, loss, iteration, assign):
     else:
         cells = _leaf_only_cells(trees, t_idx, leaf, rows, ds.schema)
 
-    best = None  # (delta, feature, kind_key, predicate)
+    best = None  # (delta, feature, predicate)
     for j, dom in enumerate(ds.schema.domains):
         col = route[j][rows]
         if dom.kind == CATEGORICAL:
-            subsets = _categorical_candidates(
-                sup.restrictions[j].codes, cfg, (cfg.seed, iteration, j)
+            blocks = _categorical_candidates(
+                sup.restrictions[j].codes, cfg.cat_cutoff, (cfg.seed, iteration, j),
+                len(dom.categories), len(cells),
             )
-            if not subsets:
+            # the first minimum in canonical order, as an argmin over all blocks
+            delta, row = np.inf, None
+            scored = _score_categorical(cells, j, dom, blocks, route[j], loss, cfg.pi, m, cfg.min_child_rows)
+            for right, deltas in scored:
+                i = int(np.argmin(deltas))
+                if deltas[i] < delta:
+                    delta, row = deltas[i], right[i]
+            if row is None:
                 continue
-            # admissibility: both children keep >= min_child_rows rows
-            cnts = np.bincount(col.astype(np.int64), minlength=len(dom.categories))
-            n_r = np.concatenate([
-                _subset_rows(subsets[s0:s1], len(dom.categories)) @ cnts
-                for s0, s1 in _subset_chunks(len(subsets), 1)
-            ])
-            ok = (n_r >= cfg.min_child_rows) & (len(rows) - n_r >= cfg.min_child_rows)
-            kept_sets = [sub for sub, keep in zip(subsets, ok) if keep]
-            if not kept_sets:
-                continue
-            deltas = _score_categorical(cells, j, dom, kept_sets, route[j], loss, cfg.pi, m)
-            i = int(np.argmin(deltas))
-            key = (len(kept_sets[i]), tuple(sorted(kept_sets[i])))
-            cand_best = (float(deltas[i]), j, key, SplitPredicate(j, subset=kept_sets[i]))
+            cand_best = (float(delta), j, SplitPredicate(j, subset=frozenset(np.flatnonzero(row).tolist())))
         else:
             cand = _numeric_candidates(col)
             if len(cand) == 0:
@@ -424,12 +423,12 @@ def split_pred(trees, t_idx, leaf, rows, ds, cfg, loss, iteration, assign):
                 continue
             deltas = _score_numeric(cells, j, dom, cand, route[j], loss, cfg.pi, m)
             i = int(np.argmin(deltas))
-            cand_best = (float(deltas[i]), j, float(cand[i]), SplitPredicate(j, threshold=float(cand[i])))
-        if best is None or (cand_best[0], cand_best[1]) < (best[0], best[1]):
+            cand_best = (float(deltas[i]), j, SplitPredicate(j, threshold=float(cand[i])))
+        if best is None or cand_best[:2] < best[:2]:
             best = cand_best
     if best is None:
         return None
-    return best[3], best[0]
+    return best[2], best[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,57 +466,51 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[GenerativeForest, list[SplitRe
     history: list[SplitRecord] = []
 
     for it in range(cfg.n_splits):
-        applied = False
-        skip = set(unsplittable)
         while True:
-            pick = pick_tree_and_leaf(leaf_rows, skip=skip)
+            pick = pick_tree_and_leaf(leaf_rows, skip=unsplittable)
             if pick is None:
                 break
             t_idx, leaf = pick
             res = split_pred(trees, t_idx, leaf, leaf_rows[t_idx][leaf], ds, cfg, loss, it, assign)
-            if res is None:
-                unsplittable.add((t_idx, leaf))
-                skip.add((t_idx, leaf))
-                continue
-            pred, delta = res
-            tree = trees[t_idx]
-            rows = leaf_rows[t_idx].pop(leaf)
-            li, ri = tree.split(leaf, pred)
-            j = pred.feature
-            dom = ds.schema.domains[j]
-            col = route[j][rows]
-            go_left = restriction_mask(dom, tree.supports[li].restrictions[j], col)
-            rows_l = rows[go_left]
-            rows_r = rows[~go_left]
-            assign[t_idx][rows_r] = ri
-            assign[t_idx][rows_l] = li
-            leaf_rows[t_idx][li] = rows_l
-            leaf_rows[t_idx][ri] = rows_r
-
-            n_leaves_before = sum(len(d) for d in leaf_rows) - 1
-            r_leaf = len(rows) / ds.m
-            u_leaf = uniform_mass(ds.schema, tree.supports[leaf])
-            u_right = uniform_mass(ds.schema, tree.supports[ri])
-            p_pred_r = len(rows_r) / len(rows)
-            p_pred_u = u_right / u_leaf if u_leaf > 0 else 0.0
-            p_m = cfg.pi * r_leaf + (1 - cfg.pi) * u_leaf
-            poprisk += delta
-            history.append(
-                SplitRecord(
-                    iteration=it, tree=t_idx, leaf=leaf, feature=j,
-                    threshold=pred.threshold,
-                    subset=tuple(sorted(pred.subset)) if pred.subset else None,
-                    delta=delta, poprisk=poprisk,
-                    gamma_hat=abs(p_pred_r - p_pred_u),
-                    kappa_hat=cfg.pi * r_leaf / p_m,
-                    leaf_mass=p_m,
-                    leaf_bound=1.0 / n_leaves_before,
-                )
-            )
-            applied = True
-            break
-        if not applied:
+            if res is not None:
+                break
+            unsplittable.add((t_idx, leaf))
+        if pick is None:
             break  # no splittable leaf anywhere
+        pred, delta = res
+        tree = trees[t_idx]
+        rows = leaf_rows[t_idx].pop(leaf)
+        li, ri = tree.split(leaf, pred)
+        j = pred.feature
+        col = route[j][rows]
+        go_left = col <= pred.threshold if pred.subset is None else ~np.isin(col, list(pred.subset))
+        rows_l = rows[go_left]
+        rows_r = rows[~go_left]
+        assign[t_idx][rows_r] = ri
+        assign[t_idx][rows_l] = li
+        leaf_rows[t_idx][li] = rows_l
+        leaf_rows[t_idx][ri] = rows_r
+
+        n_leaves_before = sum(len(d) for d in leaf_rows) - 1
+        r_leaf = len(rows) / ds.m
+        u_leaf = uniform_mass(ds.schema, tree.supports[leaf])
+        u_right = uniform_mass(ds.schema, tree.supports[ri])
+        p_pred_r = len(rows_r) / len(rows)
+        p_pred_u = u_right / u_leaf if u_leaf > 0 else 0.0
+        p_m = cfg.pi * r_leaf + (1 - cfg.pi) * u_leaf
+        poprisk += delta
+        history.append(
+            SplitRecord(
+                iteration=it, tree=t_idx, leaf=leaf, feature=j,
+                threshold=pred.threshold,
+                subset=tuple(sorted(pred.subset)) if pred.subset else None,
+                delta=delta, poprisk=poprisk,
+                gamma_hat=abs(p_pred_r - p_pred_u),
+                kappa_hat=cfg.pi * r_leaf / p_m,
+                leaf_mass=p_m,
+                leaf_bound=1.0 / n_leaves_before,
+            )
+        )
 
     forest = GenerativeForest(
         ds.schema, trees, pi=cfg.pi, mode="gf", dataset=ds, leaf_rows=leaf_rows

@@ -5,19 +5,20 @@ support intersections, the EOGT cell probability chained along the leaf
 paths, the per-step sampler (one star update per tree step) and generation
 with it, the leaf tuples of the cross-tree partition built by the sequential
 chop over trees, the exact law of the sampler's final cell in either tree
-order, and the empirical masses, losses and split deltas that the training
+order, row membership of a restriction with missing values as wildcards,
+and the empirical masses, losses and split deltas that the training
 objective is checked with."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from genforest.data import CATEGORICAL, Dataset
+from genforest.data import CATEGORICAL, MISSING_CODE, Dataset, FeatureDomain
 from genforest.forest import GenerativeForest, SplitPredicate, Tree, approx_branch_prob, assignment_arrays
 from genforest.imputer import ConditionalTuple
-from genforest.measure import LossSpec, Support, cell_risk, restriction_mask, uniform_mass
+from genforest.measure import IntRange, LossSpec, Restriction, Support, cell_risk, uniform_mass
 from genforest.sampler import branch_probability, draw_uniform
-from genforest.trainer import _affected_cells, _score_categorical, _score_numeric
+from genforest.trainer import _affected_cells, _score_categorical, _score_numeric, _subset_rows
 
 PARTITION_CAP_DEFAULT = 10**6
 
@@ -381,6 +382,27 @@ def path_interleavings(lengths: list[int]):
     yield from rec(list(lengths), [])
 
 
+def restriction_mask(dom: FeatureDomain, r: Restriction, col: np.ndarray) -> np.ndarray:
+    """Vectorized membership (missing = wildcard) of a column slice."""
+    if dom.kind == CATEGORICAL:
+        missing = col == MISSING_CODE
+        if len(r.codes) == len(dom.categories):
+            return np.ones(len(col), dtype=bool)
+        sel = np.zeros(len(dom.categories), dtype=bool)
+        sel[list(r.codes)] = True
+        ok = np.zeros(len(col), dtype=bool)
+        obs = ~missing
+        ok[obs] = sel[col[obs]]
+        return ok | missing
+    missing = np.isnan(col)
+    if isinstance(r, IntRange):
+        ok = (col >= r.a) & (col <= r.b)
+    else:
+        ok = (col > r.lo) if r.lo_open else (col >= r.lo)
+        ok &= col <= r.hi
+    return ok | missing
+
+
 def compatible_rows(ds: Dataset, s: Support, rows: np.ndarray | None = None) -> np.ndarray:
     """Indices of rows compatible with the support; a missing value is a
     wildcard compatible with any restriction."""
@@ -444,7 +466,8 @@ def risk_delta(forest: GenerativeForest, t_idx: int, leaf: int, pred: SplitPredi
             cells, j, dom, np.array([pred.threshold]), col, loss, forest.pi, forest.dataset.m
         )
     else:
-        deltas = _score_categorical(
-            cells, j, dom, [pred.subset], col, loss, forest.pi, forest.dataset.m
+        block = _subset_rows([pred.subset], len(dom.categories))
+        [(_, deltas)] = _score_categorical(
+            cells, j, dom, [block], col, loss, forest.pi, forest.dataset.m, 0
         )
     return float(deltas[0])

@@ -85,6 +85,20 @@ class TestFlows:
         assert code == 0
         assert '"rmse"' in capsys.readouterr().out
 
+    def test_impute_one_feature_with_mask(self, tmp_path):
+        data = tmp_path / "one.csv"
+        data.write_text("x\n" + "".join(f"{v}\n" for v in (0.1, 0.2, 0.25, 0.8, 0.9, 0.95)))
+        model = tmp_path / "one.json"
+        assert run(["train", "--data", str(data), "--out", str(model),
+                    "--trees", "1", "--splits", "2"]) == 0
+        mask_path = tmp_path / "mask.csv"
+        save_mask(np.array([[False], [True], [False], [False], [True], [False]]), mask_path)
+        out = tmp_path / "imp.csv"
+        assert run(["impute", "--model", str(model), "--train", str(data), "--data", str(data),
+                    "--mask", str(mask_path), "--out", str(out)]) == 0
+        imputed = load_csv(out)
+        assert imputed.m == 6 and not imputed.missing_mask().any()
+
     def test_synth_with_mcar(self, tmp_path):
         out = tmp_path / "s.csv"
         mask_out = tmp_path / "s_mask.csv"
@@ -132,6 +146,15 @@ class TestExitCodes:
         code = run(["impute", "--model", str(model_path), "--train", str(toy_csv),
                     "--data", str(data), "--out", str(tmp_path / "imp.csv")])
         assert code == 3
+
+    def test_eval_impute_metrics_rejects_a_mask_of_another_shape(self, tmp_path, toy2d, toy_csv, capsys):
+        mask_path = tmp_path / "mask.csv"
+        save_mask(np.zeros((toy2d.d, toy2d.m), dtype=bool), mask_path)
+        code = run(["eval", "impute-metrics", "--imputed", str(toy_csv),
+                    "--truth", str(toy_csv), "--mask", str(mask_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"({toy2d.d}, {toy2d.m})" in err and f"({toy2d.m}, {toy2d.d})" in err
 
     def test_density_rejects_missing_cells(self, tmp_path, toy_csv, model_path):
         holes = tmp_path / "holes.csv"

@@ -109,6 +109,13 @@ class TestMcar:
         save_mask(mask, p)
         assert np.array_equal(load_mask(p), mask)
 
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 3), (4, 3)])
+    def test_mask_roundtrip_keeps_its_shape(self, tmp_path, shape):
+        mask = np.arange(np.prod(shape)).reshape(shape) % 3 == 1
+        p = tmp_path / "m.csv"
+        save_mask(mask, p)
+        assert np.array_equal(load_mask(p), mask)
+
 
 class TestRoutingColumns:
     def test_no_missing_and_observed_preserved(self, mixed_ds):

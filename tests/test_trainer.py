@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from genforest.trainer import (
     train,
     write_history_csv,
 )
-from oracles import full_poprisk, risk_delta
+from oracles import full_poprisk, restriction_mask, risk_delta
 from tests.conftest import dataset_from_rows
 
 
@@ -87,6 +90,20 @@ class TestTraining:
         # row lists still tile the dataset
         total = sum(len(rows) for rows in forest.leaf_rows[0].values())
         assert total == mixed_ds.m
+
+    def test_leaf_rows_are_the_rows_of_their_support(self, holes_ds):
+        # applied splits route rows by their predicate; every leaf must hold
+        # exactly the rows whose routing values lie in its support
+        forest, history = train(holes_ds, TrainConfig(n_trees=2, n_splits=24, cat_cutoff=3, seed=0))
+        assert any(r.subset is not None for r in history)
+        assert any(r.threshold is not None for r in history)
+        route = holes_ds.routing_columns()
+        for tree, per_tree in zip(forest.trees, forest.leaf_rows):
+            for leaf, rows in per_tree.items():
+                keep = np.ones(holes_ds.m, dtype=bool)
+                for dom, r, col in zip(holes_ds.schema.domains, tree.supports[leaf].restrictions, route):
+                    keep &= restriction_mask(dom, r, col)
+                assert np.array_equal(rows, np.flatnonzero(keep))
 
     def test_eogt_mode(self, toy2d):
         forest, history = train(toy2d, TrainConfig(n_trees=2, n_splits=4, mode="eogt", seed=0))
@@ -257,6 +274,19 @@ def dense_score_categorical(cells, j, dom, subsets, col, loss, pi, m):
     return deltas
 
 
+def dense_categorical_blocks(cells, j, dom, blocks, col, loss, pi, m, min_rows):
+    """``_score_categorical``'s contract over the dense scorer: admissibility
+    counted subset by subset, then one cell_risk pass per admissible subset."""
+    leaf_col = col[cells.rows]
+    for block in blocks:
+        subsets = [np.flatnonzero(row) for row in block]
+        n_r = np.array([np.isin(leaf_col, sub).sum() for sub in subsets])
+        ok = (n_r >= min_rows) & (len(leaf_col) - n_r >= min_rows)
+        if ok.any():
+            kept = [sub for sub, keep in zip(subsets, ok) if keep]
+            yield block[ok], dense_score_categorical(cells, j, dom, kept, col, loss, pi, m)
+
+
 LOSSES = ["square", "log", "matusita"]
 BLOCKS = [2, 1 << 30]
 
@@ -367,24 +397,29 @@ class TestScoringAgainstDense:
     @pytest.mark.parametrize("block", [2, 37, 1 << 30])
     @pytest.mark.parametrize("loss_name", LOSSES)
     def test_categorical_trained_cells(self, monkeypatch, loss_name, block):
-        # one subset per chunk, several chunks of a few subsets, one chunk
+        # one subset per block, several blocks of a few subsets, one block;
+        # min_rows 0 keeps every candidate, so every subset is compared
         ds, forest = self._categorical_forest()
         route = ds.routing_columns()
         loss = get_loss(loss_name)
-        cfg = TrainConfig(cat_cutoff=8)
         monkeypatch.setattr(trainer, "_SCORE_BLOCK", block)
         n_chunked = 0
         for rows, cells in _leaf_cells(forest, ds):
             for j, dom in enumerate(ds.schema.domains):
                 if dom.kind != CATEGORICAL:
                     continue
-                codes = frozenset(range(len(dom.categories)))
-                subsets = trainer._categorical_candidates(codes, cfg, (0, 0, j))
-                got = trainer._score_categorical(cells, j, dom, subsets, route[j], loss, 0.5, ds.m)
+                n_cats = len(dom.categories)
+                blocks = list(trainer._categorical_candidates(range(n_cats), 8, (0, 0, j), n_cats, len(cells)))
+                scored = list(trainer._score_categorical(
+                    cells, j, dom, iter(blocks), route[j], loss, 0.5, ds.m, 0
+                ))
+                assert len(scored) == len(blocks)
+                assert all(np.array_equal(a, b) for a, b in zip(blocks, (r for r, _ in scored)))
+                subsets = [np.flatnonzero(row) for row in np.concatenate(blocks)]
+                got = np.concatenate([deltas for _, deltas in scored])
                 want = dense_score_categorical(cells, j, dom, subsets, route[j], loss, 0.5, ds.m)
                 assert np.array_equal(got, want)
-                chunks = list(trainer._subset_chunks(len(subsets), len(cells)))
-                n_chunked += len(chunks) > 1 and len(cells) > 8
+                n_chunked += len(blocks) > 1 and len(cells) > 8
         assert (n_chunked > 0) == (block < 1 << 30)
 
     @pytest.mark.parametrize("loss_name", LOSSES)
@@ -393,6 +428,71 @@ class TestScoringAgainstDense:
         cfg = TrainConfig(n_trees=3, n_splits=20, loss=loss_name, cat_cutoff=5, min_child_rows=3)
         _, history = train(ds, cfg)
         monkeypatch.setattr(trainer, "_score_numeric", dense_score_numeric)
-        monkeypatch.setattr(trainer, "_score_categorical", dense_score_categorical)
+        monkeypatch.setattr(trainer, "_score_categorical", dense_categorical_blocks)
         _, dense_history = train(ds, cfg)
         assert history == dense_history
+
+
+class TestCategoricalCandidates:
+    @pytest.mark.parametrize("block", [2, 37, 1 << 30])
+    def test_exhaustive_canonical_order(self, monkeypatch, block):
+        # anchored on the smallest code staying left, by size, then
+        # lexicographically, whatever the block size
+        monkeypatch.setattr(trainer, "_SCORE_BLOCK", block)
+        codes = [9, 2, 5, 7, 3]
+        blocks = list(trainer._categorical_candidates(frozenset(codes), 5, (0, 0, 0), 10, 3))
+        got = [tuple(np.flatnonzero(row)) for row in np.concatenate(blocks)]
+        want = [c for r in range(1, 5) for c in combinations([3, 5, 7, 9], r)]
+        assert got == want
+        assert all(len(b) <= max(1, block // 3) for b in blocks)
+
+    def test_sampled_subsets_sorted_and_distinct(self):
+        blocks = list(trainer._categorical_candidates(frozenset(range(12)), 8, (4, 2, 1), 12, 1))
+        got = [tuple(np.flatnonzero(row)) for row in np.concatenate(blocks)]
+        assert len(got) == trainer.CAT_SAMPLE_SIZE
+        assert got == sorted(set(got), key=lambda s: (len(s), s))
+        assert all(0 not in sub for sub in got)
+
+    def test_single_code_has_no_candidate(self):
+        assert list(trainer._categorical_candidates(frozenset({4}), 22, (0, 0, 0), 6, 1)) == []
+
+    @staticmethod
+    def _stump_split(ds, cfg):
+        trees = [Tree(ds.schema)]
+        assign = [np.zeros(ds.m, dtype=np.int32)]
+        return trainer.split_pred(trees, 0, trees[0].root, np.arange(ds.m), ds, cfg,
+                                  get_loss(cfg.loss), 0, assign)
+
+    @pytest.mark.parametrize("block", [2, 1 << 30])
+    def test_ties_pick_the_first_canonical_minimizer(self, monkeypatch, block):
+        # codes a, b hold 10 rows each and c, d one each. With 3 rows per
+        # child, {b} (10 rows, 1 code) and {b, c, d} (12 rows, 3 codes) mirror
+        # each other: both children swap, so their deltas are equal to the
+        # bit, and they beat every other admissible subset
+        monkeypatch.setattr(trainer, "_SCORE_BLOCK", block)
+        rows = [["a"]] * 10 + [["b"]] * 10 + [["c"], ["d"]]
+        ds = dataset_from_rows(["k"], [CATEGORICAL], rows)
+        cfg = TrainConfig(min_child_rows=3)
+        pred, delta = self._stump_split(ds, cfg)
+        assert pred.subset == frozenset({1})
+        cells = trainer._one_cell([Tree(ds.schema)], Tree(ds.schema).supports[0], np.arange(ds.m), ds.schema)
+        ties = dense_score_categorical(cells, 0, ds.schema.domains[0], [[1], [1, 2, 3]],
+                                       ds.routing_columns()[0], get_loss("square"), 0.5, ds.m)
+        assert ties[0] == ties[1] == delta
+
+    def test_exhaustive_search_memory_is_bounded_by_a_block(self):
+        # 18 codes: 131 071 candidate subsets, scored in blocks of 0/1 rows
+        rng = np.random.default_rng(7)
+        codes = rng.integers(18, size=3000)
+        rows = [[f"c{c:02d}", float(c % 3) + rng.normal()] for c in codes]
+        ds = dataset_from_rows(["k", "x"], [CATEGORICAL, REAL], rows)
+        cfg = TrainConfig(cat_cutoff=22)
+        ds.routing_columns()  # cached on first use: built outside the measured window
+        tracemalloc.start()
+        try:
+            res = self._stump_split(ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res is not None
+        assert peak < 32 * 2**20, peak / 2**20
