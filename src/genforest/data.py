@@ -70,6 +70,11 @@ class Schema:
     def __iter__(self):
         return iter(zip(self.names, self.domains))
 
+    def check_row(self, values) -> None:
+        """Raise ValueError unless ``values`` holds one value per feature."""
+        if len(values) != self.d:
+            raise ValueError(f"expected a row of {self.d} values, got {len(values)}")
+
 
 class Dataset:
     """Immutable column-major dataset bound to a Schema.

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .measure import (
     NumericInterval,
     Restriction,
     Support,
+    restriction_uniform_fraction,
     uniform_mass,
 )
 
@@ -134,12 +136,13 @@ class WalkNode:
     The edge into a node is its parent's coin followed by ``skip`` forced
     steps, at which the coin was 0 or 1; ``checks`` pairs each feature split
     on along that edge with its restriction at this node, for
-    ``walk_cells``. A branching node holds its ``support`` and ``rows`` until
-    it is expanded; then ``children`` is its (left, right) pair."""
+    ``walk_cells``. A branching node holds its ``support``, with its
+    per-feature uniform ``fracs`` (EOGT) or its ``rows`` (GF), until it is
+    expanded; then ``children`` is its (left, right) pair."""
 
-    __slots__ = ("t_idx", "node", "p", "mass", "skip", "checks", "support", "rows", "children")
+    __slots__ = ("t_idx", "node", "p", "mass", "skip", "checks", "support", "fracs", "rows", "children")
 
-    def __init__(self, t_idx, node, p, mass, skip, checks, support, rows):
+    def __init__(self, t_idx, node, p, mass, skip, checks, support, fracs, rows):
         self.t_idx = t_idx
         self.node = node
         self.p = p
@@ -147,6 +150,7 @@ class WalkNode:
         self.skip = skip
         self.checks = checks
         self.support = support
+        self.fracs = fracs
         self.rows = rows
         self.children = None
 
@@ -184,31 +188,6 @@ def _member_cuts(tree: Tree) -> tuple[np.ndarray, list[int], list[bool]]:
             cut[n.left] = cut[n.right] = int(pre[n.right])
             upper[n.left] = False
     return pre, cut, upper
-
-
-def approx_branch_prob(
-    u_ct: float,
-    u_right: float,
-    u_cf: float,
-    u_left: float,
-    p_arc: float,
-    c_t: Restriction | Support,
-    c_f: Restriction | Support,
-) -> float:
-    """Uniform-corrected branch probability of an ensemble of generative
-    trees: p_U[C_t|X_r] p / (p_U[C_t|X_r] p + p_U[C_f|X_l] (1 - p)), where
-    ``c_t`` and ``c_f`` are the current support's intersections with the
-    right and left children. Where both corrected masses are 0 (below a
-    zero-width cell), the arc probability if both intersections are
-    non-empty, else the side that is."""
-    qt = (u_ct / u_right) * p_arc if u_right > 0 else 0.0
-    qf = (u_cf / u_left) * (1.0 - p_arc) if u_left > 0 else 0.0
-    denom = qt + qf
-    if denom > 0:
-        return qt / denom
-    if c_t.is_empty():
-        return 0.0
-    return 1.0 if c_f.is_empty() else p_arc
 
 
 class GenerativeForest:
@@ -287,29 +266,65 @@ class GenerativeForest:
         ``t_idx`` given the current support, which lies inside the node's,
         and, in GF mode, the rows still compatible with it: the fraction of
         those rows on the right (GF) or the uniform-corrected arc probability
-        (EOGT). The support's intersection with a child differs from the
-        support only on the split feature."""
-        tree = self.trees[t_idx]
-        n = tree.nodes[node]
+        (EOGT)."""
+        n = self.trees[t_idx].nodes[node]
         assert not n.is_leaf
         if self.mode == "gf":
             n_right = int(np.count_nonzero(self.node_member_mask(t_idx, n.right, rows)))
             assert len(rows) > 0, "unreachable: empty support during sampling"
             return n_right / len(rows)
+        return self._eogt_coin(t_idx, node, support, self._fractions(support))[0]
+
+    def _fractions(self, sup: Support) -> tuple[float, ...]:
+        """Per-feature uniform fractions of a support, which ``uniform_mass``
+        multiplies."""
+        return tuple(restriction_uniform_fraction(d, r) for d, r in zip(self.schema.domains, sup.restrictions))
+
+    def _eogt_coin(self, t_idx: int, node: int, sup: Support, fracs: tuple[float, ...]):
+        """The EOGT coin at internal ``node`` of tree ``t_idx`` given the
+        support and its per-feature uniform fractions, and the split
+        feature's restriction on the (left, right) sides. The support lies
+        inside the node's, so its intersection with a child differs from it
+        on the split feature alone. A side that the support misses forces the
+        coin to the other side. Else the coin is the uniform-corrected arc
+        probability p_U[C_t|X_r] p / (p_U[C_t|X_r] p + p_U[C_f|X_l] (1 - p)),
+        where each side's uniform mass is the product of the fractions in
+        feature order with the split feature's replaced: the product
+        ``uniform_mass`` forms, to the last bit, as the fractions are finite
+        and non-negative. Where both corrected masses are 0 (below a
+        zero-width cell) it is the arc probability."""
+        tree = self.trees[t_idx]
+        n = tree.nodes[node]
         j = n.pred.feature
-        r = support.restrictions[j]
-        r_t = r.intersect(tree.supports[n.right].restrictions[j])
-        r_f = r.intersect(tree.supports[n.left].restrictions[j])
-        u_node = self._node_umass[t_idx]
-        return approx_branch_prob(
-            uniform_mass(self.schema, support.replace(j, r_t)),
-            u_node[n.right],
-            uniform_mass(self.schema, support.replace(j, r_f)),
-            u_node[n.left],
-            self.arc_p[t_idx][node],
-            r_t,
-            r_f,
+        r = sup.restrictions[j]
+        sides = (
+            r.intersect(tree.supports[n.left].restrictions[j]),
+            r.intersect(tree.supports[n.right].restrictions[j]),
         )
+        r_f, r_t = sides
+        if r_t.is_empty():
+            return 0.0, sides
+        if r_f.is_empty():
+            return 1.0, sides
+        dom = self.schema.domains[j]
+        head, tail = prod(fracs[:j]), fracs[j + 1:]
+        u_t = prod(tail, start=head * restriction_uniform_fraction(dom, r_t))
+        u_f = prod(tail, start=head * restriction_uniform_fraction(dom, r_f))
+        u_node, p_arc = self._node_umass[t_idx], self.arc_p[t_idx][node]
+        qt = (u_t / u_node[n.right]) * p_arc if u_node[n.right] > 0 else 0.0
+        qf = (u_f / u_node[n.left]) * (1.0 - p_arc) if u_node[n.left] > 0 else 0.0
+        denom = qt + qf
+        return (qt / denom if denom > 0 else p_arc), sides
+
+    def _narrowed(self, sup: Support, fracs, j: int, r: Restriction):
+        """The support with feature ``j`` restricted to ``r``, and its
+        fractions (None in GF mode); the same objects if ``r`` is already
+        feature ``j``'s restriction."""
+        if r is sup.restrictions[j]:
+            return sup, fracs
+        if fracs is not None:
+            fracs = fracs[:j] + (restriction_uniform_fraction(self.schema.domains[j], r),) + fracs[j + 1:]
+        return sup.replace(j, r), fracs
 
     # -- the cached walk -----------------------------------------------------
 
@@ -323,8 +338,12 @@ class GenerativeForest:
         if self._walk_root is None:
             with self._lazy_lock:
                 if self._walk_root is None:
-                    rows = np.arange(self.dataset.m) if self.mode == "gf" else None
-                    root = self._walk_run(0, 0, Support.full(self.schema), rows, 1.0, {})
+                    full = Support.full(self.schema)
+                    if self.mode == "gf":
+                        rows, fracs = np.arange(self.dataset.m), None
+                    else:
+                        rows, fracs = None, self._fractions(full)
+                    root = self._walk_run(0, 0, full, fracs, rows, 1.0, {})
                     self._walk_store(root)
                     self._walk_root = root
         return self._walk_root
@@ -413,11 +432,11 @@ class GenerativeForest:
         children = tuple(self._walk_side(node, go_right, side) for go_right, side in enumerate(sides))
         # readers look at node.children without the lock: attach the children
         # before the count can mark the walk full, and drop the support (only
-        # cells need one; the rows live on in the children) last, so that a
-        # node seen without children still has its support
+        # cells need one; the rows live on in the children) and its fractions
+        # last, so that a node seen without children still has both
         node.children = children
         self._walk_store(*children)
-        node.support = node.rows = None
+        node.support = node.fracs = node.rows = None
 
     def _walk_side(self, node: WalkNode, right: bool, rows: np.ndarray | None) -> WalkNode:
         """The run from one child of a branching walk node, given the training
@@ -433,30 +452,39 @@ class GenerativeForest:
             mass = node.mass * (node.p if right else 1.0 - node.p)
         else:
             mass = len(rows) / self.dataset.m
-        return self._walk_run(node.t_idx, child, node.support.replace(j, r), rows, mass, {j: r})
+        sup, fracs = self._narrowed(node.support, node.fracs, j, r)
+        return self._walk_run(node.t_idx, child, sup, fracs, rows, mass, {j: r})
 
-    def _walk_run(self, t_idx, node, sup, rows, mass, checks) -> WalkNode:
+    def _walk_run(self, t_idx, node, sup, fracs, rows, mass, checks) -> WalkNode:
         """Follow the forced steps, whose coin is 0 or 1, from a sampler state
         to the next branching node or to the cell where every tree sits at a
-        leaf."""
-        skip = 0
-        while t_idx < self.T:
-            tree = self.trees[t_idx]
+        leaf. An EOGT run carries its support's uniform fractions for the
+        coins; a step takes the side's restriction that its coin computed."""
+        trees, skip = self.trees, 0
+        while t_idx < len(trees):
+            tree = trees[t_idx]
             n = tree.nodes[node]
             if n.is_leaf:
                 t_idx, node = t_idx + 1, tree.root  # every tree's root is node 0
                 continue
-            p = self.branch_prob(t_idx, node, sup, rows)
+            if rows is None:
+                p, sides = self._eogt_coin(t_idx, node, sup, fracs)
+            else:
+                p, sides = self.branch_prob(t_idx, node, sup, rows), None
             if 0.0 < p < 1.0:
-                return WalkNode(t_idx, node, p, mass, skip, tuple(checks.items()), sup, rows)
-            child = n.right if p else n.left
+                return WalkNode(t_idx, node, p, mass, skip, tuple(checks.items()), sup, fracs, rows)
+            right = bool(p)
+            child = n.right if right else n.left
             j = n.pred.feature
-            r = sup.restrictions[j].intersect(tree.supports[child].restrictions[j])
-            sup = sup.replace(j, r)
+            if sides is None:
+                r = sup.restrictions[j].intersect(tree.supports[child].restrictions[j])
+            else:
+                r = sides[right]
+            sup, fracs = self._narrowed(sup, fracs, j, r)
             checks[j] = r
             skip += 1
             node = child
-        return WalkNode(t_idx, -1, None, mass, skip, tuple(checks.items()), sup, None)
+        return WalkNode(t_idx, -1, None, mass, skip, tuple(checks.items()), sup, fracs, None)
 
     # -- density -------------------------------------------------------------
 
@@ -478,6 +506,7 @@ class GenerativeForest:
         zero-volume cell the cell probability itself is returned. The cell
         and its mass come from the cached walk, where a complete point passes
         at most one child of each branching node."""
+        self.schema.check_row(values)
         full = Support.full(self.schema)
         for name, r, x in zip(self.schema.names, full.restrictions, values):
             if not r.contains(x):
@@ -500,7 +529,9 @@ class GenerativeForest:
 
     def to_eogt(self) -> "GenerativeForest":
         """Annotate every internal node with its empirical right-branch
-        probability and drop the dataset binding."""
+        probability and drop the dataset binding. An internal node without
+        training rows, which only an edited model file can hold, has no such
+        probability and raises ``DataError``."""
         if self.mode != "gf":
             return GenerativeForest(self.schema, self.trees, self.pi, "eogt", arc_p=self.arc_p)
         arc_p = []
@@ -510,9 +541,11 @@ class GenerativeForest:
             for i, n in enumerate(tree.nodes):
                 if n.is_leaf:
                     continue
-                parent = counts[i]
-                assert parent > 0, "internal node with zero training mass"
-                probs[i] = counts[n.right] / parent
+                if counts[i] == 0:
+                    raise DataError(
+                        f"tree {t_idx}: internal node {i} holds no training rows, so it has no arc probability"
+                    )
+                probs[i] = counts[n.right] / counts[i]
             arc_p.append(probs)
         return GenerativeForest(self.schema, self.trees, self.pi, "eogt", arc_p=arc_p)
 

@@ -69,6 +69,7 @@ def _pick_tuple(tuples: list[ConditionalTuple], x_partial, missing: list[int], r
 def impute(forest: GenerativeForest, x_partial, rng: np.random.Generator) -> list:
     """Complete one observation: observed features pass through, missing ones
     are drawn uniformly inside a maximal-density consistent tuple."""
+    forest.schema.check_row(x_partial)
     missing = [j for j, v in enumerate(x_partial) if v is None]
     if not missing:
         return list(x_partial)

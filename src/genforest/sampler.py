@@ -60,6 +60,8 @@ def sample_one(forest: GenerativeForest, rng: np.random.Generator) -> list:
 def generate(forest: GenerativeForest, n: int, seed: int = 0, threads: int = 1) -> Dataset:
     """Draw ``n`` observations. Each observation gets its own spawned random
     stream, so output is bitwise identical for any thread count."""
+    if n < 0:
+        raise ValueError(f"n must be a non-negative row count, got {n}")
     streams = np.random.SeedSequence(seed).spawn(n)
 
     def one(i: int) -> list:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,30 @@ def random_dataset(rng: np.random.Generator, m: int = 30) -> Dataset:
     return dataset_from_rows(
         ["x", "y"], [REAL, REAL], [[float(a), float(b)] for a, b in zip(xs, ys)]
     )
+
+
+def empty_a_subtree(path, forest) -> tuple[int, int]:
+    """Rewrite the GF model file at ``path``, saved from ``forest``, so that
+    the rows of the first internal node below a tree's root move to a leaf
+    outside that node's subtree. The leaf rows still partition the m rows,
+    and the node holds none. Returns (tree, node)."""
+    doc = json.loads(path.read_text())
+    for t_idx, tree in enumerate(forest.trees):
+        node = next((i for i, n in enumerate(tree.nodes) if i != tree.root and not n.is_leaf), None)
+        if node is None:
+            continue
+        under, stack = set(), [node]
+        while stack:
+            i = stack.pop()
+            n = tree.nodes[i]
+            if n.is_leaf:
+                under.add(str(i))
+            else:
+                stack.extend((n.left, n.right))
+        per_tree = doc["leaf_rows"][t_idx]
+        keep = next(l for l in per_tree if l not in under)
+        for l in under:
+            per_tree[keep] += per_tree.pop(l, [])
+        path.write_text(json.dumps(doc))
+        return t_idx, node
+    raise ValueError("no tree has an internal node below its root")

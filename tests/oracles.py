@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from genforest.data import CATEGORICAL, MISSING_CODE, Dataset, FeatureDomain
-from genforest.forest import GenerativeForest, SplitPredicate, Tree, approx_branch_prob, assignment_arrays
+from genforest.forest import GenerativeForest, SplitPredicate, Tree, assignment_arrays
 from genforest.imputer import ConditionalTuple
 from genforest.measure import IntRange, LossSpec, Restriction, Support, cell_risk, uniform_mass
-from genforest.sampler import branch_probability, draw_uniform
+from genforest.sampler import draw_uniform
 from genforest.trainer import _affected_cells, _score_categorical, _score_numeric, _subset_rows
 
 PARTITION_CAP_DEFAULT = 10**6
@@ -133,21 +133,36 @@ def partition_element_of(forest: GenerativeForest, values) -> PartitionElement:
 
 def eogt_branch_prob(forest: GenerativeForest, t_idx: int, node: int, support: Support) -> float:
     """The uniform-corrected right-branch probability at internal ``node``
-    of tree ``t_idx``, from the support's full intersections with both
-    children and the children's uniform masses computed anew."""
+    of tree ``t_idx``, p_U[C_t|X_r] p / (p_U[C_t|X_r] p + p_U[C_f|X_l] (1 - p)),
+    from the support's full intersections C_t and C_f with the right and
+    left children and every uniform mass computed anew. Where both corrected
+    masses are 0 (below a zero-width cell): the arc probability if both
+    intersections are non-empty, else the side that is."""
     tree = forest.trees[t_idx]
     n = tree.nodes[node]
+    p_arc = forest.arc_p[t_idx][node]
     c_t = support.intersect(tree.supports[n.right])
     c_f = support.intersect(tree.supports[n.left])
-    return approx_branch_prob(
-        uniform_mass(forest.schema, c_t),
-        uniform_mass(forest.schema, tree.supports[n.right]),
-        uniform_mass(forest.schema, c_f),
-        uniform_mass(forest.schema, tree.supports[n.left]),
-        forest.arc_p[t_idx][node],
-        c_t,
-        c_f,
-    )
+    u_right = uniform_mass(forest.schema, tree.supports[n.right])
+    u_left = uniform_mass(forest.schema, tree.supports[n.left])
+    qt = (uniform_mass(forest.schema, c_t) / u_right) * p_arc if u_right > 0 else 0.0
+    qf = (uniform_mass(forest.schema, c_f) / u_left) * (1.0 - p_arc) if u_left > 0 else 0.0
+    denom = qt + qf
+    if denom > 0:
+        return qt / denom
+    if c_t.is_empty():
+        return 0.0
+    return 1.0 if c_f.is_empty() else p_arc
+
+
+def step_coin(forest: GenerativeForest, state: SamplerState, t_idx: int) -> float:
+    """The per-step sampler's coin at the current node of tree ``t_idx``:
+    the fraction of the state's rows on the right (GF, the program's
+    ``branch_prob``), or ``eogt_branch_prob`` (EOGT)."""
+    node = state.positions[t_idx]
+    if forest.mode == "gf":
+        return forest.branch_prob(t_idx, node, state.support, state.rows)
+    return eogt_branch_prob(forest, t_idx, node, state.support)
 
 
 def eogt_cell_prob(forest: GenerativeForest, values) -> float:
@@ -188,7 +203,7 @@ def stepping_generate(forest: GenerativeForest, n: int, seed: int) -> list[np.nd
         for t_idx, tree in enumerate(forest.trees):
             while not tree.is_leaf(state.positions[t_idx]):
                 node = tree.nodes[state.positions[t_idx]]
-                p = branch_probability(forest, state, t_idx)
+                p = step_coin(forest, state, t_idx)
                 descend(forest, state, t_idx, node.right if rng.random() < p else node.left)
         rows.append(draw_uniform(forest.schema, state.support, rng))
     return [np.array([r[j] for r in rows], dtype=np.int32 if d.kind == CATEGORICAL else np.float64)
@@ -235,7 +250,7 @@ def leaf_tuples(forest: GenerativeForest, observed=None, prune_empty: bool = Fal
                         continue
                     children.append((child, child_r, child_aux))
                 if not gf and children:
-                    p_hat = forest.branch_prob(t_idx, node_id, cur, None)
+                    p_hat = eogt_branch_prob(forest, t_idx, node_id, cur)
                 for child, child_r, child_aux in children:
                     if not gf:
                         p = p_hat if child == node.right else 1.0 - p_hat
@@ -328,7 +343,7 @@ def support_distribution(forest: GenerativeForest, order: str = "iterative") -> 
         for t_idx in choices:
             tree = forest.trees[t_idx]
             node = tree.nodes[state.positions[t_idx]]
-            p = branch_probability(forest, state, t_idx)
+            p = step_coin(forest, state, t_idx)
             for child, pc in ((node.right, p), (node.left, 1.0 - p)):
                 if pc == 0.0:
                     continue
@@ -353,7 +368,7 @@ def element_reach_probability(forest: GenerativeForest, leaf_ids, interleaving) 
         target = paths[t_idx][pos[t_idx]]
         tree = forest.trees[t_idx]
         node = tree.nodes[state.positions[t_idx]]
-        p = branch_probability(forest, state, t_idx)
+        p = step_coin(forest, state, t_idx)
         prob *= p if target == node.right else 1.0 - p
         if prob == 0.0:
             return 0.0

@@ -4,6 +4,7 @@ import pytest
 from genforest.cli import build_parser, run
 from genforest.data import apply_mcar, load_csv, save_mask
 from genforest.forest import GenerativeForest
+from tests.conftest import empty_a_subtree
 
 
 @pytest.fixture
@@ -139,6 +140,20 @@ class TestExitCodes:
         model.write_text('{"format": "genforest-model", "version": 1, "mode": "eogt", "pi": 0.5}')
         code = run(["generate", "--model", str(model), "--n", "5", "--out", str(tmp_path / "g.csv")])
         assert code == 3
+
+    def test_negative_row_count(self, tmp_path, toy_csv, model_path, capsys):
+        code = run(["generate", "--model", str(model_path), "--train", str(toy_csv),
+                    "--n", "-1", "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert "n must be a non-negative row count, got -1" in capsys.readouterr().err
+
+    def test_convert_names_an_internal_node_without_rows(self, tmp_path, toy_csv, model_path, capsys):
+        forest = GenerativeForest.load(model_path, dataset=load_csv(toy_csv))
+        t_idx, node = empty_a_subtree(model_path, forest)
+        code = run(["convert", "--model", str(model_path), "--train", str(toy_csv),
+                    "--out", str(tmp_path / "eogt.json")])
+        assert code == 3
+        assert f"tree {t_idx}: internal node {node} holds no training rows" in capsys.readouterr().err
 
     def test_impute_without_a_consistent_cell(self, tmp_path, toy_csv, model_path):
         data = tmp_path / "far.csv"

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from genforest import forest as forest_module
-from genforest.data import CATEGORICAL, INTEGER, DataError, synth_domain
+from genforest.data import CATEGORICAL, INTEGER, REAL, DataError, synth_domain
 from genforest.forest import GenerativeForest, SplitPredicate, Tree
+from genforest.imputer import conditional_tuples
 from genforest.measure import NumericInterval, Support, uniform_mass
 from genforest.sampler import generate
 from genforest.trainer import TrainConfig, get_loss, train
+from tests.conftest import dataset_from_rows, empty_a_subtree
 import oracles
 from oracles import enumerate_partition, full_poprisk, node_mask, partition_element_of, path_to, stepping_generate
 
@@ -221,6 +223,13 @@ class TestDensity:
             with pytest.raises(ValueError, match=r"y=2\.0"):
                 f.density([0.5, 2.0])
 
+    def test_rows_of_the_wrong_length(self, toy_forest):
+        forest, _ = toy_forest
+        for f in (forest, forest.to_eogt()):
+            for row in ([0.5], [0.0, 0.0, 5.0]):
+                with pytest.raises(ValueError, match=f"row of 2 values, got {len(row)}"):
+                    f.density(row)
+
 
 class TestSerialization:
     def test_roundtrip(self, toy_forest, toy2d, tmp_path):
@@ -324,6 +333,16 @@ class TestSerialization:
         with pytest.raises(DataError, match="arc probabilities"):
             GenerativeForest.load(p)
 
+    def test_to_eogt_names_an_internal_node_without_rows(self, walk_forest, tmp_path):
+        # the file loads, as its leaf rows partition the m rows, but one
+        # internal node holds none of them
+        p = tmp_path / "model.json"
+        walk_forest.save(p)
+        t_idx, node = empty_a_subtree(p, walk_forest)
+        back = GenerativeForest.load(p, dataset=walk_forest.dataset)
+        with pytest.raises(DataError, match=f"tree {t_idx}: internal node {node} holds no training rows"):
+            back.to_eogt()
+
     def test_garbage_file(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
@@ -366,17 +385,17 @@ class TestEogt:
         # bit for bit, at every node and support the leaf tuple enumeration
         # reaches
         eogt = walk_forest.to_eogt()
-        rule, pairs = eogt.branch_prob, []
+        oracle, seen = oracles.eogt_branch_prob, []
 
-        def recorded(t_idx, node, support, rows):
-            p = rule(t_idx, node, support, rows)
-            pairs.append((p, oracles.eogt_branch_prob(eogt, t_idx, node, support)))
+        def recorded(forest, t_idx, node, support):
+            p = oracle(forest, t_idx, node, support)
+            seen.append((t_idx, node, support, p))
             return p
 
-        monkeypatch.setattr(eogt, "branch_prob", recorded)
+        monkeypatch.setattr(oracles, "eogt_branch_prob", recorded)
         oracles.leaf_tuples(eogt)
-        assert len(pairs) > 100
-        assert all(got == want for got, want in pairs)
+        assert len(seen) > 100
+        assert all(eogt.branch_prob(t_idx, node, support, None) == p for t_idx, node, support, p in seen)
 
     def test_branch_prob_below_a_zero_width_cell(self, toy2d):
         # both uniform-corrected masses are 0 there: the arc probability when
@@ -388,6 +407,30 @@ class TestEogt:
         assert eogt.branch_prob(1, 0, point, None) == eogt.arc_p[1][0] == 0.5
         assert eogt.branch_prob(1, 0, point.replace(1, right), None) == 1.0
         assert eogt.branch_prob(1, 0, point.replace(1, left), None) == 0.0
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_constant_and_integer_columns_equal_the_oracles(self, cap, monkeypatch):
+        # the constant real column takes the zero-width branch of the uniform
+        # fraction at every coin, the integer column the counting branch; with
+        # three features split on, a product of the fractions in another
+        # order changes last bits
+        rng = np.random.default_rng(4)
+        rows = [[float(rng.normal()), 1.5, int(rng.integers(0, 10)), float(rng.uniform())] for _ in range(80)]
+        ds = dataset_from_rows(["x", "c", "k", "y"], [REAL, REAL, INTEGER, REAL], rows)
+        gf, _ = train(ds, TrainConfig(n_trees=3, n_splits=24, seed=0))
+        assert {n.pred.feature for t in gf.trees for n in t.nodes if not n.is_leaf} == {0, 2, 3}
+        if cap is not None:
+            monkeypatch.setattr(forest_module, "WALK_NODE_CAP", cap)
+        eogt = gf.to_eogt()
+        sample = generate(eogt, 200, seed=1)
+        assert [c.tobytes() for c in sample.columns] == [c.tobytes() for c in stepping_generate(eogt, 200, 1)]
+        for i in range(ds.m):
+            x = ds.row(i)
+            assert eogt.density(x) == oracles.density(eogt, x)
+            for partial in ([x[0], None, None, x[3]], [None, x[1], x[2], None], [None] * 4):
+                got = [(t.support.key(), t.mass) for t in conditional_tuples(eogt, partial)]
+                assert got == [(t.support.key(), t.mass) for t in oracles.conditional_tuples(eogt, partial)]
+        assert eogt.describe()["walk_full"] == (cap is not None)
 
     def test_expected_depth_positive(self, toy_forest):
         forest, _ = toy_forest

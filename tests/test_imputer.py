@@ -104,6 +104,13 @@ class TestImpute:
         with pytest.raises(DataError, match=r"\[5\.0, None\]"):
             impute(forest, [5.0, None], np.random.default_rng(0))
 
+    def test_rows_of_the_wrong_length(self, toy_forest):
+        forest, _ = toy_forest
+        for f in (forest, forest.to_eogt()):
+            for row in ([None], [None, 0.2, 5.0]):
+                with pytest.raises(ValueError, match=f"row of 2 values, got {len(row)}"):
+                    impute(f, row, np.random.default_rng(0))
+
     def test_dataset_thread_determinism(self, toy2d):
         forest, _ = train(toy2d, TrainConfig(n_trees=2, n_splits=4, seed=0))
         masked, _ = apply_mcar(toy2d, 0.3, seed=1)

@@ -9,7 +9,7 @@ from genforest.data import CATEGORICAL, FeatureDomain, Schema, apply_mcar, synth
 from genforest.forest import GenerativeForest
 from genforest.imputer import impute_dataset
 from genforest.measure import CatSubset, NumericInterval, Support
-from genforest.sampler import branch_probability, draw_uniform, generate, sample_one
+from genforest.sampler import draw_uniform, generate, sample_one
 from genforest.trainer import TrainConfig, train
 from oracles import (
     SamplerState,
@@ -17,6 +17,7 @@ from oracles import (
     init_sampling,
     partition_element_of,
     path_interleavings,
+    step_coin,
     stepping_generate,
     support_distribution,
 )
@@ -43,7 +44,7 @@ def stepped_edge(forest, state, mass, checks):
     for t_idx, tree in enumerate(forest.trees):
         while not tree.is_leaf(state.positions[t_idx]):
             node = state.positions[t_idx]
-            p = branch_probability(forest, state, t_idx)
+            p = step_coin(forest, state, t_idx)
             if 0.0 < p < 1.0:
                 return t_idx, node, p, mass, skip, tuple(checks.items())
             n = tree.nodes[node]
@@ -110,6 +111,13 @@ class TestGenerate:
         a = generate(forest, 64, seed=5, threads=1)
         b = generate(forest, 64, seed=5, threads=4)
         assert a.content_hash() == b.content_hash()
+
+    def test_negative_row_count(self, toy_forest):
+        forest, _ = toy_forest
+        for f in (forest, forest.to_eogt()):
+            with pytest.raises(ValueError, match="n must be a non-negative row count, got -1"):
+                generate(f, -1)
+        assert generate(forest, 0).m == 0
 
     def test_samples_lie_in_nonempty_elements(self, toy_forest):
         forest, _ = toy_forest
