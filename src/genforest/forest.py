@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -44,6 +45,25 @@ class SplitPredicate:
     def __post_init__(self):
         if (self.threshold is None) == (self.subset is None):
             raise ValueError("exactly one of threshold/subset required")
+
+    def sends_right(self, dom: FeatureDomain, col: np.ndarray) -> np.ndarray:
+        """Which of the feature's values ``col``, without missing ones (a
+        routing column), the split sends right: the rule that training routes
+        rows by and the GF walk splits them by. A categorical feature looks its
+        codes up in a 0/1 table, one gather per value."""
+        if self.subset is None:
+            return col > self.threshold
+        return _code_table(self.subset, len(dom.categories))[col]
+
+
+@lru_cache(maxsize=4096)
+def _code_table(subset: frozenset[int], n_codes: int) -> np.ndarray:
+    """Read-only 0/1 table over a categorical feature's codes, true on
+    ``subset``."""
+    table = np.zeros(n_codes, dtype=bool)
+    table[list(subset)] = True
+    table.setflags(write=False)
+    return table
 
 
 def child_restriction(dom: FeatureDomain, parent: Restriction, pred: SplitPredicate, right: bool) -> Restriction:
@@ -99,6 +119,8 @@ class Tree:
             raise ValueError("can only split a leaf")
         sup = self.supports[leaf]
         dom = self.schema.domains[pred.feature]
+        if pred.subset is not None and not all(0 <= c < len(dom.categories) for c in pred.subset):
+            raise ValueError("subset holds a code outside the feature's categories")
         parent_r = sup.restrictions[pred.feature]
         left_r = child_restriction(dom, parent_r, pred, right=False)
         right_r = child_restriction(dom, parent_r, pred, right=True)
@@ -137,8 +159,9 @@ class WalkNode:
     steps, at which the coin was 0 or 1; ``checks`` pairs each feature split
     on along that edge with its restriction at this node, for
     ``walk_cells``. A branching node holds its ``support``, with its
-    per-feature uniform ``fracs`` (EOGT) or its ``rows`` (GF), until it is
-    expanded; then ``children`` is its (left, right) pair."""
+    per-feature uniform ``fracs`` (EOGT) or its training ``rows`` split into
+    the (left, right) sides of its split (GF), until it is expanded; then
+    ``children`` is its (left, right) pair."""
 
     __slots__ = ("t_idx", "node", "p", "mass", "skip", "checks", "support", "fracs", "rows", "children")
 
@@ -153,41 +176,6 @@ class WalkNode:
         self.fracs = fracs
         self.rows = rows
         self.children = None
-
-
-def assignment_arrays(leaf_rows, m: int) -> list[np.ndarray]:
-    """Per-tree row -> leaf-id arrays derived from the disjoint leaf row
-    lists."""
-    out = []
-    for per_tree in leaf_rows:
-        arr = np.full(m, -1, dtype=np.int32)
-        for leaf, rows in per_tree.items():
-            arr[rows] = leaf
-        out.append(arr)
-    return out
-
-
-def _member_cuts(tree: Tree) -> tuple[np.ndarray, list[int], list[bool]]:
-    """Left-first preorder index of every node, and the cut and side (True:
-    upper) that ``GenerativeForest.node_member_mask`` compares a row's key,
-    its leaf's index, with. A subtree occupies a contiguous index range whose
-    right-child subtree is its upper part, so both children of a node cut at
-    the right child's index; the root's upper side of cut 0 holds every row."""
-    pre = np.empty(len(tree.nodes), dtype=np.int32)
-    stack, k = [tree.root], 0
-    while stack:
-        i = stack.pop()
-        pre[i] = k
-        k += 1
-        n = tree.nodes[i]
-        if not n.is_leaf:
-            stack.extend((n.right, n.left))
-    cut, upper = [0] * len(tree.nodes), [True] * len(tree.nodes)
-    for n in tree.nodes:
-        if not n.is_leaf:
-            cut[n.left] = cut[n.right] = int(pre[n.right])
-            upper[n.left] = False
-    return pre, cut, upper
 
 
 class GenerativeForest:
@@ -215,12 +203,10 @@ class GenerativeForest:
         self.dataset = dataset
         self.leaf_rows = leaf_rows
         self.arc_p = arc_p
-        # GF row keys and the walk tree, built lazily by _row_keys and
-        # walk_root / walk_child; reentrant, as the walk reads the keys.
-        # The walk's stored (branching nodes, cells), and whether an EOGT
-        # walk is full, change only under the lock
-        self._lazy_lock = threading.RLock()
-        self._keys: list[tuple[np.ndarray, list[int], list[bool]]] | None = None
+        # the walk tree, built lazily by walk_root / walk_child. The walk's
+        # stored (branching nodes, cells), and whether an EOGT walk is full,
+        # change only under the lock
+        self._lazy_lock = threading.Lock()
         self._walk_root: WalkNode | None = None
         self._walk_sizes = [0, 0]
         self._walk_full = False
@@ -243,23 +229,13 @@ class GenerativeForest:
 
     # -- partition -----------------------------------------------------------
 
-    def _row_keys(self) -> list[tuple[np.ndarray, list[int], list[bool]]]:
-        """Per tree: every training row's key, and the cuts and sides of
-        ``_member_cuts``; built on first use."""
-        if self._keys is None:
-            with self._lazy_lock:
-                if self._keys is None:
-                    leaf_of_row = assignment_arrays(self.leaf_rows, self.dataset.m)
-                    cuts = [_member_cuts(t) for t in self.trees]
-                    self._keys = [(pre[a], cut, upper) for (pre, cut, upper), a in zip(cuts, leaf_of_row)]
-        return self._keys
-
     def node_member_mask(self, t_idx: int, node: int, rows: np.ndarray) -> np.ndarray:
-        """Which of the training ``rows``, all under the parent of ``node`` of
-        tree ``t_idx``, lie under ``node``: one comparison of each row's leaf
-        preorder key with the node's cut. GF mode only."""
-        keys, cut, upper = self._row_keys()[t_idx]
-        return keys[rows] >= cut[node] if upper[node] else keys[rows] < cut[node]
+        """Which of the training ``rows``, all under internal ``node`` of tree
+        ``t_idx``, its split sends right, read off the routing columns as
+        training routed them. GF mode only."""
+        pred = self.trees[t_idx].nodes[node].pred
+        j = pred.feature
+        return pred.sends_right(self.schema.domains[j], self.dataset.routing_columns()[j][rows])
 
     def branch_prob(self, t_idx: int, node: int, support: Support, rows: np.ndarray | None) -> float:
         """Probability of taking the right branch at internal ``node`` of tree
@@ -270,7 +246,7 @@ class GenerativeForest:
         n = self.trees[t_idx].nodes[node]
         assert not n.is_leaf
         if self.mode == "gf":
-            n_right = int(np.count_nonzero(self.node_member_mask(t_idx, n.right, rows)))
+            n_right = int(np.count_nonzero(self.node_member_mask(t_idx, node, rows)))
             assert len(rows) > 0, "unreachable: empty support during sampling"
             return n_right / len(rows)
         return self._eogt_coin(t_idx, node, support, self._fractions(support))[0]
@@ -423,12 +399,7 @@ class GenerativeForest:
         self._walk_full = self.mode == "eogt" and sum(self._walk_sizes) + 2 > WALK_NODE_CAP
 
     def _walk_expand(self, node: WalkNode) -> None:
-        rows = node.rows
-        if rows is None:
-            sides = (None, None)
-        else:
-            right = self.node_member_mask(node.t_idx, self.trees[node.t_idx].nodes[node.node].right, rows)
-            sides = (rows[~right], rows[right])
+        sides = node.rows or (None, None)
         children = tuple(self._walk_side(node, go_right, side) for go_right, side in enumerate(sides))
         # readers look at node.children without the lock: attach the children
         # before the count can mark the walk full, and drop the support (only
@@ -458,7 +429,8 @@ class GenerativeForest:
     def _walk_run(self, t_idx, node, sup, fracs, rows, mass, checks) -> WalkNode:
         """Follow the forced steps, whose coin is 0 or 1, from a sampler state
         to the next branching node or to the cell where every tree sits at a
-        leaf. An EOGT run carries its support's uniform fractions for the
+        leaf. A GF coin is the fraction of the rows that the split sends
+        right. An EOGT run carries its support's uniform fractions for the
         coins; a step takes the side's restriction that its coin computed."""
         trees, skip = self.trees, 0
         while t_idx < len(trees):
@@ -470,9 +442,12 @@ class GenerativeForest:
             if rows is None:
                 p, sides = self._eogt_coin(t_idx, node, sup, fracs)
             else:
-                p, sides = self.branch_prob(t_idx, node, sup, rows), None
+                mask = self.node_member_mask(t_idx, node, rows)
+                p, sides = int(np.count_nonzero(mask)) / len(rows), None
             if 0.0 < p < 1.0:
-                return WalkNode(t_idx, node, p, mass, skip, tuple(checks.items()), sup, fracs, rows)
+                # a GF node keeps its rows split by side, for its expansion
+                split = None if rows is None else (rows[~mask], rows[mask])
+                return WalkNode(t_idx, node, p, mass, skip, tuple(checks.items()), sup, fracs, split)
             right = bool(p)
             child = n.right if right else n.left
             j = n.pred.feature
@@ -509,6 +484,8 @@ class GenerativeForest:
         self.schema.check_row(values)
         full = Support.full(self.schema)
         for name, r, x in zip(self.schema.names, full.restrictions, values):
+            if x is None:
+                raise ValueError(f"{name} is missing: a density needs every value")
             if not r.contains(x):
                 raise ValueError(f"{name}={x!r} lies outside the learned domain")
         cells = self.walk_cells(values)
@@ -600,7 +577,7 @@ class GenerativeForest:
             raise DataError("not a recognized model file")
         try:
             return cls._from_doc(doc, dataset)
-        except (KeyError, TypeError, ValueError, AttributeError) as e:
+        except (KeyError, TypeError, ValueError, AttributeError, IndexError) as e:
             what = f"missing key {e}" if isinstance(e, KeyError) else f"{type(e).__name__}: {e}"
             raise DataError(f"malformed model {path}: {what}") from e
 
@@ -620,7 +597,7 @@ class GenerativeForest:
         if dataset.content_hash() != doc["data_hash"]:
             raise DataError("training data hash mismatch: dataset changed since the model was saved")
         leaf_rows = [{int(l): _row_array(rows) for l, rows in per_tree.items()} for per_tree in doc["leaf_rows"]]
-        _check_leaf_rows(trees, leaf_rows, dataset.m)
+        _check_leaf_rows(trees, leaf_rows, dataset)
         return cls(schema, trees, pi=doc["pi"], mode="gf", dataset=dataset, leaf_rows=leaf_rows)
 
 
@@ -631,19 +608,27 @@ def _row_array(rows) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _check_leaf_rows(trees: list[Tree], leaf_rows: list[dict[int, np.ndarray]], m: int) -> None:
-    """Each tree binds rows to its own leaves only, and its leaf row lists
-    partition the m training rows (the walk's row -> leaf arrays read every
-    row's leaf)."""
+def _check_leaf_rows(trees: list[Tree], leaf_rows: list[dict[int, np.ndarray]], dataset: Dataset) -> None:
+    """Each tree's leaf rows are exactly the training rows its splits send to
+    each leaf (a leaf missing from the map holds none), as the walk routes
+    rows by the splits and ``to_eogt`` counts them from the leaf rows."""
     if len(leaf_rows) != len(trees):
         raise DataError(f"{len(leaf_rows)} leaf row maps for {len(trees)} trees")
+    route = dataset.routing_columns()
     for t_idx, (tree, per_tree) in enumerate(zip(trees, leaf_rows)):
-        for leaf in per_tree:
-            if not (0 <= leaf < len(tree.nodes) and tree.nodes[leaf].is_leaf):
-                raise DataError(f"tree {t_idx}: rows bound to node {leaf}, which is not a leaf")
-        rows = np.concatenate([np.empty(0, dtype=np.int64), *per_tree.values()])
-        if len(rows) != m or not np.array_equal(np.sort(rows), np.arange(m)):
-            raise DataError(f"tree {t_idx}: leaf rows do not partition the {m} training rows")
+        routed, stack = {}, [(tree.root, np.arange(dataset.m))]
+        while stack:
+            i, rows = stack.pop()
+            pred = tree.nodes[i].pred
+            if pred is None:
+                routed[i] = rows
+                continue
+            right = pred.sends_right(tree.schema.domains[pred.feature], route[pred.feature][rows])
+            stack += [(tree.nodes[i].left, rows[~right]), (tree.nodes[i].right, rows[right])]
+        if not set(per_tree) <= set(routed) or any(
+            not np.array_equal(np.sort(per_tree.get(leaf, rows[:0])), rows) for leaf, rows in routed.items()
+        ):
+            raise DataError(f"tree {t_idx}: leaf rows are not the training rows its splits send to each leaf")
 
 
 def _schema_to_doc(schema: Schema) -> dict:

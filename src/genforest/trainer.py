@@ -190,10 +190,6 @@ def _one_cell(trees, support, rows, schema) -> Cells:
     )
 
 
-def _leaf_only_cells(trees, t_idx, leaf, rows, schema) -> Cells:
-    return _one_cell(trees, trees[t_idx].supports[leaf], rows, schema)
-
-
 def _flatten_cells(cells: Cells, col):
     """The cells' column values, grouped by cell, with their cell ids."""
     cell_flat = np.repeat(np.arange(len(cells)), cells.sizes)
@@ -391,7 +387,7 @@ def split_pred(trees, t_idx, leaf, rows, ds, cfg, loss, iteration, assign):
     if cfg.mode == "gf":
         cells = _affected_cells(trees, t_idx, sup, rows, ds, assign)
     else:
-        cells = _leaf_only_cells(trees, t_idx, leaf, rows, ds.schema)
+        cells = _one_cell(trees, sup, rows, ds.schema)
 
     best = None  # (delta, feature, predicate)
     for j, dom in enumerate(ds.schema.domains):
@@ -482,10 +478,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[GenerativeForest, list[SplitRe
         rows = leaf_rows[t_idx].pop(leaf)
         li, ri = tree.split(leaf, pred)
         j = pred.feature
-        col = route[j][rows]
-        go_left = col <= pred.threshold if pred.subset is None else ~np.isin(col, list(pred.subset))
-        rows_l = rows[go_left]
-        rows_r = rows[~go_left]
+        right = pred.sends_right(ds.schema.domains[j], route[j][rows])
+        rows_l = rows[~right]
+        rows_r = rows[right]
         assign[t_idx][rows_r] = ri
         assign[t_idx][rows_l] = li
         leaf_rows[t_idx][li] = rows_l

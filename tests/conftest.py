@@ -87,26 +87,30 @@ def random_dataset(rng: np.random.Generator, m: int = 30) -> Dataset:
 
 def empty_a_subtree(path, forest) -> tuple[int, int]:
     """Rewrite the GF model file at ``path``, saved from ``forest``, so that
-    the rows of the first internal node below a tree's root move to a leaf
-    outside that node's subtree. The leaf rows still partition the m rows,
-    and the node holds none. Returns (tree, node)."""
+    one leaf splits on a real feature at a threshold above all of its rows'
+    values and its right child, which gets none of them, splits again. The
+    leaf rows still are the rows the splits send to each leaf, and that
+    right child is an internal node without rows. Returns (tree, node)."""
     doc = json.loads(path.read_text())
+    route = forest.dataset.routing_columns()
     for t_idx, tree in enumerate(forest.trees):
-        node = next((i for i, n in enumerate(tree.nodes) if i != tree.root and not n.is_leaf), None)
-        if node is None:
-            continue
-        under, stack = set(), [node]
-        while stack:
-            i = stack.pop()
-            n = tree.nodes[i]
-            if n.is_leaf:
-                under.add(str(i))
-            else:
-                stack.extend((n.left, n.right))
-        per_tree = doc["leaf_rows"][t_idx]
-        keep = next(l for l in per_tree if l not in under)
-        for l in under:
-            per_tree[keep] += per_tree.pop(l, [])
-        path.write_text(json.dumps(doc))
-        return t_idx, node
-    raise ValueError("no tree has an internal node below its root")
+        for leaf in tree.leaves():
+            rows = forest.leaf_rows[t_idx][leaf]
+            for j, dom in enumerate(forest.schema.domains):
+                hi = tree.supports[leaf].restrictions[j].hi if dom.kind == REAL else None
+                if hi is None or not len(rows) or route[j][rows].max() >= hi:
+                    continue
+                t = (route[j][rows].max() + hi) / 2
+                nodes, per_tree = doc["trees"][t_idx]["nodes"], doc["leaf_rows"][t_idx]
+                left, right = len(nodes), len(nodes) + 1
+                nodes[leaf] = {"leaf": False, "feature": j, "left": left, "right": right, "threshold": t}
+                nodes += [
+                    {"leaf": True},
+                    {"leaf": False, "feature": j, "left": right + 1, "right": right + 2, "threshold": (t + hi) / 2},
+                    {"leaf": True},
+                    {"leaf": True},
+                ]
+                per_tree[str(left)] = per_tree.pop(str(leaf))
+                path.write_text(json.dumps(doc))
+                return t_idx, right
+    raise ValueError("no leaf has room above its rows on a real feature")

@@ -1,20 +1,21 @@
 """Reference implementations the tests compare the program against: a
 forest's cell of a complete point found by descending every tree, GF rows
-taken from m-long per-node row masks, the EOGT branch probability from full
-support intersections, the EOGT cell probability chained along the leaf
-paths, the per-step sampler (one star update per tree step) and generation
-with it, the leaf tuples of the cross-tree partition built by the sequential
-chop over trees, the exact law of the sampler's final cell in either tree
-order, row membership of a restriction with missing values as wildcards,
-and the empirical masses, losses and split deltas that the training
-objective is checked with."""
+taken from m-long per-node masks of the stored leaf rows (not from the
+split predicates that the program routes rows by), the EOGT branch
+probability from full support intersections, the EOGT cell probability
+chained along the leaf paths, the per-step sampler (one star update per
+tree step) and generation with it, the leaf tuples of the cross-tree
+partition built by the sequential chop over trees, the exact law of the
+sampler's final cell in either tree order, row membership of a restriction
+with missing values as wildcards, and the empirical masses, losses and
+split deltas that the training objective is checked with."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from genforest.data import CATEGORICAL, MISSING_CODE, Dataset, FeatureDomain
-from genforest.forest import GenerativeForest, SplitPredicate, Tree, assignment_arrays
+from genforest.forest import GenerativeForest, SplitPredicate, Tree
 from genforest.imputer import ConditionalTuple
 from genforest.measure import IntRange, LossSpec, Restriction, Support, cell_risk, uniform_mass
 from genforest.sampler import draw_uniform
@@ -63,7 +64,7 @@ def descend(forest: GenerativeForest, state: SamplerState, t_idx: int, child: in
     j = tree.nodes[state.positions[t_idx]].pred.feature
     new_r = state.support.restrictions[j].intersect(tree.supports[child].restrictions[j])
     if state.rows is not None:
-        state.rows = state.rows[forest.node_member_mask(t_idx, child, state.rows)]
+        state.rows = state.rows[node_mask(forest, t_idx, child)[state.rows]]
     state.support = state.support.replace(j, new_r)
     state.positions[t_idx] = child
 
@@ -93,6 +94,18 @@ def descendant_leaves(tree: Tree, node: int) -> list[int]:
             out.append(i)
         else:
             stack.extend((n.left, n.right))
+    return out
+
+
+def assignment_arrays(leaf_rows, m: int) -> list[np.ndarray]:
+    """Per-tree row -> leaf-id arrays derived from the disjoint leaf row
+    lists."""
+    out = []
+    for per_tree in leaf_rows:
+        arr = np.full(m, -1, dtype=np.int32)
+        for leaf, rows in per_tree.items():
+            arr[rows] = leaf
+        out.append(arr)
     return out
 
 
@@ -157,11 +170,12 @@ def eogt_branch_prob(forest: GenerativeForest, t_idx: int, node: int, support: S
 
 def step_coin(forest: GenerativeForest, state: SamplerState, t_idx: int) -> float:
     """The per-step sampler's coin at the current node of tree ``t_idx``:
-    the fraction of the state's rows on the right (GF, the program's
-    ``branch_prob``), or ``eogt_branch_prob`` (EOGT)."""
+    the fraction of the state's rows under the right child's stored leaf
+    rows (GF), or ``eogt_branch_prob`` (EOGT)."""
     node = state.positions[t_idx]
     if forest.mode == "gf":
-        return forest.branch_prob(t_idx, node, state.support, state.rows)
+        right = forest.trees[t_idx].nodes[node].right
+        return int(np.count_nonzero(node_mask(forest, t_idx, right)[state.rows])) / len(state.rows)
     return eogt_branch_prob(forest, t_idx, node, state.support)
 
 
@@ -236,7 +250,7 @@ def leaf_tuples(forest: GenerativeForest, observed=None, prune_empty: bool = Fal
                 x = None if observed is None else observed[j]
                 cur_r = cur.restrictions[j]
                 if gf:
-                    right = forest.node_member_mask(t_idx, node.right, cur_aux)
+                    right = node_mask(forest, t_idx, node.right)[cur_aux]
                     sides = ((node.left, cur_aux[~right]), (node.right, cur_aux[right]))
                 else:
                     sides = ((node.left, None), (node.right, None))

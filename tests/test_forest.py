@@ -223,6 +223,14 @@ class TestDensity:
             with pytest.raises(ValueError, match=r"y=2\.0"):
                 f.density([0.5, 2.0])
 
+    def test_missing_value_names_the_feature(self, walk_forest):
+        row = [col[0].item() for col in walk_forest.dataset.routing_columns()]
+        for f in (walk_forest, walk_forest.to_eogt()):
+            assert f.density(row)[0] >= 0.0
+            for j, name in enumerate(f.schema.names):
+                with pytest.raises(ValueError, match=f"{name} is missing"):
+                    f.density(row[:j] + [None] + row[j + 1:])
+
     def test_rows_of_the_wrong_length(self, toy_forest):
         forest, _ = toy_forest
         for f in (forest, forest.to_eogt()):
@@ -275,6 +283,21 @@ class TestSerialization:
         with pytest.raises(DataError):
             GenerativeForest.load(p, dataset=forest.dataset)
 
+    @pytest.mark.parametrize("code", [-1, 3])
+    def test_subset_code_outside_the_categories(self, mixed_ds, tmp_path, code):
+        tree = Tree(mixed_ds.schema)
+        left, right = tree.split(tree.root, SplitPredicate(feature=1, subset=frozenset({1})))
+        k = mixed_ds.routing_columns()[1]
+        rows = [{left: np.flatnonzero(k != 1), right: np.flatnonzero(k == 1)}]
+        p = tmp_path / "model.json"
+        GenerativeForest(mixed_ds.schema, [tree], dataset=mixed_ds, leaf_rows=rows).save(p)
+        assert GenerativeForest.load(p, dataset=mixed_ds).trees[0].nodes[0].pred.subset == {1}
+        doc = json.loads(p.read_text())
+        doc["trees"][0]["nodes"][0]["subset"].append(code)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="node 0: cannot replay its split: subset holds a code outside"):
+            GenerativeForest.load(p, dataset=mixed_ds)
+
     def test_byte_identical_saves(self, toy_forest, tmp_path):
         forest, _ = toy_forest
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -324,6 +347,19 @@ class TestSerialization:
         with pytest.raises(DataError, match="tree 1"):
             GenerativeForest.load(p, dataset=forest.dataset)
 
+    def test_leaf_rows_must_be_the_rows_the_splits_send(self, toy_forest, tmp_path):
+        # two rows trade leaves: the leaf rows still partition the rows
+        forest, _ = toy_forest
+        p = tmp_path / "model.json"
+        forest.save(p)
+        doc = json.loads(p.read_text())
+        per_tree = doc["leaf_rows"][1]
+        a, b = sorted(per_tree, key=lambda l: -len(per_tree[l]))[:2]
+        per_tree[a][0], per_tree[b][0] = per_tree[b][0], per_tree[a][0]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="tree 1: leaf rows are not the training rows its splits send"):
+            GenerativeForest.load(p, dataset=forest.dataset)
+
     def test_arc_p_must_cover_the_internal_nodes(self, toy_forest, tmp_path):
         p = tmp_path / "eogt.json"
         toy_forest[0].to_eogt().save(p)
@@ -334,8 +370,8 @@ class TestSerialization:
             GenerativeForest.load(p)
 
     def test_to_eogt_names_an_internal_node_without_rows(self, walk_forest, tmp_path):
-        # the file loads, as its leaf rows partition the m rows, but one
-        # internal node holds none of them
+        # the file loads, as its leaf rows are the rows its splits send to
+        # each leaf, but one internal node holds none of them
         p = tmp_path / "model.json"
         walk_forest.save(p)
         t_idx, node = empty_a_subtree(p, walk_forest)
@@ -353,17 +389,13 @@ class TestSerialization:
         p = tmp_path / "model.json"
         walk_forest.save(p)
         forest = GenerativeForest.load(p, dataset=walk_forest.dataset)
-        m = forest.dataset.m
         for t_idx, tree in enumerate(forest.trees):
-            assert forest.node_member_mask(t_idx, tree.root, np.arange(m)).all()
             for node, n in enumerate(tree.nodes):
                 if n.is_leaf:
                     continue
                 rows = np.flatnonzero(node_mask(forest, t_idx, node))
-                left = forest.node_member_mask(t_idx, n.left, rows)
-                right = forest.node_member_mask(t_idx, n.right, rows)
-                assert np.array_equal(left, ~right)
-                for child, side in ((n.left, left), (n.right, right)):
+                right = forest.node_member_mask(t_idx, node, rows)
+                for child, side in ((n.left, ~right), (n.right, right)):
                     assert np.array_equal(rows[side], np.flatnonzero(node_mask(forest, t_idx, child)))
 
 

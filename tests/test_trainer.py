@@ -6,7 +6,7 @@ import pytest
 
 from genforest import trainer
 from genforest.data import CATEGORICAL, INTEGER, REAL, FeatureDomain
-from genforest.forest import GenerativeForest, SplitPredicate, Tree, assignment_arrays
+from genforest.forest import GenerativeForest, SplitPredicate, Tree
 from genforest.measure import cell_risk, get_loss
 from genforest.trainer import (
     TrainConfig,
@@ -14,7 +14,7 @@ from genforest.trainer import (
     train,
     write_history_csv,
 )
-from oracles import full_poprisk, restriction_mask, risk_delta
+from oracles import assignment_arrays, full_poprisk, restriction_mask, risk_delta
 from tests.conftest import dataset_from_rows
 
 
