@@ -7,7 +7,7 @@ import json
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -23,7 +23,9 @@ from .measure import (
 )
 
 MODEL_FORMAT = "genforest-model"
-MODEL_VERSION = 1
+# version 1 files also stored the training rows of every leaf, which
+# loading does not read: the splits send the rows to their leaves
+MODEL_VERSION = 2
 
 # most nodes an EOGT walk stores (about 0.5 KiB each); past it a step builds
 # the chosen child's run without storing it. Large enough for the whole walk
@@ -117,11 +119,18 @@ class Tree:
         node = self.nodes[leaf]
         if not node.is_leaf:
             raise ValueError("can only split a leaf")
+        j = pred.feature
+        if type(j) is not int or not 0 <= j < self.schema.d:
+            raise ValueError(f"feature {j!r} is not an int in 0..{self.schema.d - 1}")
+        if pred.threshold is not None and not (isinstance(pred.threshold, float) and isfinite(pred.threshold)):
+            raise ValueError(f"threshold {pred.threshold!r} is not a finite float")
         sup = self.supports[leaf]
-        dom = self.schema.domains[pred.feature]
-        if pred.subset is not None and not all(0 <= c < len(dom.categories) for c in pred.subset):
+        dom = self.schema.domains[j]
+        if (pred.subset is None) == (dom.kind == CATEGORICAL):
+            raise ValueError(f"a {dom.kind} feature splits on a {'subset' if dom.kind == CATEGORICAL else 'threshold'}")
+        if pred.subset is not None and not all(type(c) is int and 0 <= c < len(dom.categories) for c in pred.subset):
             raise ValueError("subset holds a code outside the feature's categories")
-        parent_r = sup.restrictions[pred.feature]
+        parent_r = sup.restrictions[j]
         left_r = child_restriction(dom, parent_r, pred, right=False)
         right_r = child_restriction(dom, parent_r, pred, right=True)
         if left_r.is_empty() or right_r.is_empty():
@@ -129,8 +138,8 @@ class Tree:
         li, ri = len(self.nodes), len(self.nodes) + 1
         self.nodes.append(_Node(depth=node.depth + 1))
         self.nodes.append(_Node(depth=node.depth + 1))
-        self.supports.append(sup.replace(pred.feature, left_r))
-        self.supports.append(sup.replace(pred.feature, right_r))
+        self.supports.append(sup.replace(j, left_r))
+        self.supports.append(sup.replace(j, right_r))
         node.pred = pred
         node.left, node.right = li, ri
         return li, ri
@@ -180,7 +189,10 @@ class WalkNode:
 
 class GenerativeForest:
     """A set of consistent trees bound either to the training data (GF mode)
-    or to per-arc empirical branch probabilities (EOGT mode)."""
+    or to per-arc empirical branch probabilities (EOGT mode). In GF mode
+    ``leaf_rows[t][leaf]`` holds, in increasing order, the training rows that
+    the splits of tree ``t`` send to ``leaf``, for every leaf; in EOGT mode
+    ``leaf_rows`` is None."""
 
     def __init__(
         self,
@@ -189,7 +201,6 @@ class GenerativeForest:
         pi: float = 0.5,
         mode: str = "gf",
         dataset: Dataset | None = None,
-        leaf_rows: list[dict[int, np.ndarray]] | None = None,
         arc_p: list[dict[int, float]] | None = None,
     ):
         if mode not in ("gf", "eogt"):
@@ -201,7 +212,6 @@ class GenerativeForest:
         self.pi = pi
         self.mode = mode
         self.dataset = dataset
-        self.leaf_rows = leaf_rows
         self.arc_p = arc_p
         # the walk tree, built lazily by walk_root / walk_child. The walk's
         # stored (branching nodes, cells), and whether an EOGT walk is full,
@@ -211,11 +221,13 @@ class GenerativeForest:
         self._walk_sizes = [0, 0]
         self._walk_full = False
         if mode == "gf":
-            if dataset is None or leaf_rows is None:
+            if dataset is None:
                 raise ValueError("gf mode needs the dataset binding")
+            self.leaf_rows = [_route_rows(t, dataset) for t in trees]
         else:
             if arc_p is None:
                 raise ValueError("eogt mode needs arc probabilities")
+            self.leaf_rows = None
             for t, probs in zip(trees, arc_p):
                 for i, p in probs.items():
                     if not 0.0 <= p <= 1.0:
@@ -530,11 +542,7 @@ class GenerativeForest:
         """Per-node assigned row counts: leaf row lists are disjoint, so every
         internal count is the sum over its descendant leaves."""
         tree = self.trees[t_idx]
-        per_tree = self.leaf_rows[t_idx]
-        counts = {}
-        for i in range(len(tree.nodes)):
-            if tree.nodes[i].is_leaf:
-                counts[i] = len(per_tree.get(i, ()))
+        counts = {leaf: len(rows) for leaf, rows in self.leaf_rows[t_idx].items()}
         for i in range(len(tree.nodes) - 1, -1, -1):
             n = tree.nodes[i]
             if not n.is_leaf:
@@ -559,9 +567,6 @@ class GenerativeForest:
             doc["arc_p"] = [{str(i): p for i, p in probs.items()} for probs in self.arc_p]
         else:
             doc["data_hash"] = self.dataset.content_hash()
-            doc["leaf_rows"] = [
-                {str(l): rows.tolist() for l, rows in per_tree.items()} for per_tree in self.leaf_rows
-            ]
         with open(path, "w") as fh:
             json.dump(doc, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -573,8 +578,13 @@ class GenerativeForest:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read model {path}: {e}") from e
-        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT or doc.get("version") != MODEL_VERSION:
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
             raise DataError("not a recognized model file")
+        version = doc.get("version")
+        if type(version) is not int or not 1 <= version <= MODEL_VERSION:
+            raise DataError(
+                f"model version {version!r} is not supported: this program reads versions 1 to {MODEL_VERSION}"
+            )
         try:
             return cls._from_doc(doc, dataset)
         except (KeyError, TypeError, ValueError, AttributeError, IndexError) as e:
@@ -596,39 +606,22 @@ class GenerativeForest:
             raise DataError("gf model requires the training dataset")
         if dataset.content_hash() != doc["data_hash"]:
             raise DataError("training data hash mismatch: dataset changed since the model was saved")
-        leaf_rows = [{int(l): _row_array(rows) for l, rows in per_tree.items()} for per_tree in doc["leaf_rows"]]
-        _check_leaf_rows(trees, leaf_rows, dataset)
-        return cls(schema, trees, pi=doc["pi"], mode="gf", dataset=dataset, leaf_rows=leaf_rows)
+        return cls(schema, trees, pi=doc["pi"], mode="gf", dataset=dataset)
 
 
-def _row_array(rows) -> np.ndarray:
-    arr = np.asarray(rows)
-    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-        raise DataError("leaf rows must be lists of row indices")
-    return arr.astype(np.int64)
-
-
-def _check_leaf_rows(trees: list[Tree], leaf_rows: list[dict[int, np.ndarray]], dataset: Dataset) -> None:
-    """Each tree's leaf rows are exactly the training rows its splits send to
-    each leaf (a leaf missing from the map holds none), as the walk routes
-    rows by the splits and ``to_eogt`` counts them from the leaf rows."""
-    if len(leaf_rows) != len(trees):
-        raise DataError(f"{len(leaf_rows)} leaf row maps for {len(trees)} trees")
+def _route_rows(tree: Tree, dataset: Dataset) -> dict[int, np.ndarray]:
+    """The training rows that the splits of ``tree`` send to each of its
+    leaves, by leaf id, on the routing columns as training routed them. A
+    node's children are numbered after it, so one pass in node order routes
+    every row to its leaf."""
     route = dataset.routing_columns()
-    for t_idx, (tree, per_tree) in enumerate(zip(trees, leaf_rows)):
-        routed, stack = {}, [(tree.root, np.arange(dataset.m))]
-        while stack:
-            i, rows = stack.pop()
-            pred = tree.nodes[i].pred
-            if pred is None:
-                routed[i] = rows
-                continue
-            right = pred.sends_right(tree.schema.domains[pred.feature], route[pred.feature][rows])
-            stack += [(tree.nodes[i].left, rows[~right]), (tree.nodes[i].right, rows[right])]
-        if not set(per_tree) <= set(routed) or any(
-            not np.array_equal(np.sort(per_tree.get(leaf, rows[:0])), rows) for leaf, rows in routed.items()
-        ):
-            raise DataError(f"tree {t_idx}: leaf rows are not the training rows its splits send to each leaf")
+    at = {tree.root: np.arange(dataset.m)}
+    for i, n in enumerate(tree.nodes):
+        if not n.is_leaf:
+            rows = at.pop(i)
+            right = n.pred.sends_right(tree.schema.domains[n.pred.feature], route[n.pred.feature][rows])
+            at[n.left], at[n.right] = rows[~right], rows[right]
+    return {leaf: at[leaf] for leaf in sorted(at)}
 
 
 def _schema_to_doc(schema: Schema) -> dict:
@@ -676,21 +669,21 @@ def _tree_from_doc(schema: Schema, doc: dict) -> Tree:
     """Replay the saved splits in the order they were made. ``Tree.split``
     numbers the two children of each split consecutively after all earlier
     nodes, so splitting in increasing left-child id gives back the saved node
-    ids, which ``leaf_rows`` and ``arc_p`` are keyed by."""
+    ids, which ``arc_p`` is keyed by."""
     tree = Tree(schema)
     raw = doc["nodes"]
     for left, i in sorted((nd["left"], i) for i, nd in enumerate(raw) if not nd["leaf"]):
         nd = raw[i]
         if not (i < left == len(tree.nodes) and nd["right"] == left + 1):
             raise DataError(f"node {i}: children ({left}, {nd['right']}) are not a valid split sequence")
-        pred = SplitPredicate(
-            feature=nd["feature"],
-            threshold=nd.get("threshold"),
-            subset=frozenset(nd["subset"]) if "subset" in nd else None,
-        )
         try:
+            pred = SplitPredicate(
+                feature=nd["feature"],
+                threshold=nd.get("threshold"),
+                subset=frozenset(nd["subset"]) if "subset" in nd else None,
+            )
             tree.split(i, pred)
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise DataError(f"node {i}: cannot replay its split: {e}") from e
     if len(tree.nodes) != len(raw):
         raise DataError("tree nodes do not match its splits")

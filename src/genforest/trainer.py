@@ -21,6 +21,9 @@ from .measure import cell_risk, get_loss, uniform_mass
 # random candidate subsets above ``TrainConfig.cat_cutoff``
 CAT_SAMPLE_SIZE = 64
 
+# fewest training rows a split leaves in either child
+MIN_CHILD_ROWS = 1
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -33,7 +36,6 @@ class TrainConfig:
     # (memory bounded by one block, time not); above it, CAT_SAMPLE_SIZE
     # random ones
     cat_cutoff: int = 22
-    min_child_rows: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -47,8 +49,6 @@ class TrainConfig:
             raise ValueError("pi must be in (0, 1)")
         if self.cat_cutoff < 2:
             raise ValueError("cat_cutoff must be >= 2")
-        if self.min_child_rows < 1:
-            raise ValueError("min_child_rows must be >= 1")
         get_loss(self.loss)
 
 
@@ -399,7 +399,7 @@ def split_pred(trees, t_idx, leaf, rows, ds, cfg, loss, iteration, assign):
             )
             # the first minimum in canonical order, as an argmin over all blocks
             delta, row = np.inf, None
-            scored = _score_categorical(cells, j, dom, blocks, route[j], loss, cfg.pi, m, cfg.min_child_rows)
+            scored = _score_categorical(cells, j, dom, blocks, route[j], loss, cfg.pi, m, MIN_CHILD_ROWS)
             for right, deltas in scored:
                 i = int(np.argmin(deltas))
                 if deltas[i] < delta:
@@ -413,7 +413,7 @@ def split_pred(trees, t_idx, leaf, rows, ds, cfg, loss, iteration, assign):
                 continue
             obs = np.sort(col)
             n_left = np.searchsorted(obs, cand, side="right")
-            ok = (n_left >= cfg.min_child_rows) & (len(rows) - n_left >= cfg.min_child_rows)
+            ok = (n_left >= MIN_CHILD_ROWS) & (len(rows) - n_left >= MIN_CHILD_ROWS)
             cand = cand[ok]
             if len(cand) == 0:
                 continue
@@ -507,9 +507,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[GenerativeForest, list[SplitRe
             )
         )
 
-    forest = GenerativeForest(
-        ds.schema, trees, pi=cfg.pi, mode="gf", dataset=ds, leaf_rows=leaf_rows
-    )
+    forest = GenerativeForest(ds.schema, trees, pi=cfg.pi, mode="gf", dataset=ds)
     if cfg.mode == "eogt":
         forest = forest.to_eogt()
     return forest, history

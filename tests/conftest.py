@@ -88,8 +88,7 @@ def random_dataset(rng: np.random.Generator, m: int = 30) -> Dataset:
 def empty_a_subtree(path, forest) -> tuple[int, int]:
     """Rewrite the GF model file at ``path``, saved from ``forest``, so that
     one leaf splits on a real feature at a threshold above all of its rows'
-    values and its right child, which gets none of them, splits again. The
-    leaf rows still are the rows the splits send to each leaf, and that
+    values and its right child, which gets none of them, splits again: that
     right child is an internal node without rows. Returns (tree, node)."""
     doc = json.loads(path.read_text())
     route = forest.dataset.routing_columns()
@@ -101,7 +100,7 @@ def empty_a_subtree(path, forest) -> tuple[int, int]:
                 if hi is None or not len(rows) or route[j][rows].max() >= hi:
                     continue
                 t = (route[j][rows].max() + hi) / 2
-                nodes, per_tree = doc["trees"][t_idx]["nodes"], doc["leaf_rows"][t_idx]
+                nodes = doc["trees"][t_idx]["nodes"]
                 left, right = len(nodes), len(nodes) + 1
                 nodes[leaf] = {"leaf": False, "feature": j, "left": left, "right": right, "threshold": t}
                 nodes += [
@@ -110,7 +109,6 @@ def empty_a_subtree(path, forest) -> tuple[int, int]:
                     {"leaf": True},
                     {"leaf": True},
                 ]
-                per_tree[str(left)] = per_tree.pop(str(leaf))
                 path.write_text(json.dumps(doc))
                 return t_idx, right
     raise ValueError("no leaf has room above its rows on a real feature")

@@ -1,6 +1,6 @@
 """Reference implementations the tests compare the program against: a
 forest's cell of a complete point found by descending every tree, GF rows
-taken from m-long per-node masks of the stored leaf rows (not from the
+taken from m-long per-node masks of support containment (not from the
 split predicates that the program routes rows by), the EOGT branch
 probability from full support intersections, the EOGT cell probability
 chained along the leaf paths, the per-step sampler (one star update per
@@ -84,19 +84,6 @@ def path_to(tree: Tree, leaf: int) -> list[int]:
     return path[::-1]
 
 
-def descendant_leaves(tree: Tree, node: int) -> list[int]:
-    """Leaf ids in the subtree rooted at ``node``."""
-    out, stack = [], [node]
-    while stack:
-        i = stack.pop()
-        n = tree.nodes[i]
-        if n.is_leaf:
-            out.append(i)
-        else:
-            stack.extend((n.left, n.right))
-    return out
-
-
 def assignment_arrays(leaf_rows, m: int) -> list[np.ndarray]:
     """Per-tree row -> leaf-id arrays derived from the disjoint leaf row
     lists."""
@@ -111,12 +98,11 @@ def assignment_arrays(leaf_rows, m: int) -> list[np.ndarray]:
 
 def node_mask(forest: GenerativeForest, t_idx: int, node: int) -> np.ndarray:
     """m-long mask of the training rows under ``node`` of tree ``t_idx``: the
-    union of its leaves' row lists."""
-    mask = np.zeros(forest.dataset.m, dtype=bool)
-    for leaf in descendant_leaves(forest.trees[t_idx], node):
-        rows = forest.leaf_rows[t_idx].get(leaf)
-        if rows is not None and len(rows):
-            mask[rows] = True
+    rows whose routing values lie in the node's support."""
+    mask = np.ones(forest.dataset.m, dtype=bool)
+    restrictions = forest.trees[t_idx].supports[node].restrictions
+    for dom, r, col in zip(forest.schema.domains, restrictions, forest.dataset.routing_columns()):
+        mask &= restriction_mask(dom, r, col)
     return mask
 
 

@@ -278,20 +278,11 @@ def test_08b_interior_threshold_beats_candidates_with_two_trees():
     rows += [[x, 0.75] for x in pack]
     rows += [[x, 0.75 if x in upper else 0.25] for x in xs_high]
     ds = dataset_from_rows(["x", "y"], [REAL, REAL], rows)
-    m = ds.m
     t1, t2 = Tree(ds.schema), Tree(ds.schema)
-    yl, yr = t2.split(t2.root, SplitPredicate(feature=1, threshold=0.5))
-    bl, br = t2.split(yr, SplitPredicate(feature=0, threshold=c))
-    xcol, ycol = ds.columns[0], ds.columns[1]
-    forest = GenerativeForest(
-        ds.schema, [t1, t2], dataset=ds,
-        leaf_rows=[
-            {t1.root: np.arange(m)},
-            {yl: np.flatnonzero(ycol <= 0.5),
-             bl: np.flatnonzero((ycol > 0.5) & (xcol <= c)),
-             br: np.flatnonzero((ycol > 0.5) & (xcol > c))},
-        ],
-    )
+    _, yr = t2.split(t2.root, SplitPredicate(feature=1, threshold=0.5))
+    t2.split(yr, SplitPredicate(feature=0, threshold=c))
+    xcol = ds.columns[0]
+    forest = GenerativeForest(ds.schema, [t1, t2], dataset=ds)
 
     def score(t: float) -> float:
         return risk_delta(forest, 0, t1.root, SplitPredicate(feature=0, threshold=t), loss)
@@ -373,13 +364,7 @@ def test_11_samples_land_in_populated_cells_and_respect_one_hot():
     for j in range(3):
         frontier = [c for leaf in frontier
                     for c in tree.split(leaf, SplitPredicate(feature=j, threshold=0.5))]
-    leaf_rows = {}
-    for leaf in frontier:
-        sup = tree.supports[leaf]
-        rws = [i for i in range(oh.m) if sup.contains([oh.columns[j][i] for j in range(3)])]
-        if rws:
-            leaf_rows[leaf] = np.asarray(rws, dtype=np.int64)
-    oh_forest = GenerativeForest(oh.schema, [tree], dataset=oh, leaf_rows=[leaf_rows])
+    oh_forest = GenerativeForest(oh.schema, [tree], dataset=oh)
     oh_out = generate(oh_forest, 100_000, seed=0)
     bits = np.stack([oh_out.columns[j] for j in range(3)])
     one_hot_ok = bool(np.all(np.isin(bits, (0, 1))) and np.all(bits.sum(axis=0) == 1))

@@ -1,12 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from genforest import forest as forest_module
-from genforest.data import CATEGORICAL, INTEGER, REAL, DataError, synth_domain
+from genforest.data import CATEGORICAL, INTEGER, REAL, DataError, apply_mcar, synth_domain
 from genforest.forest import GenerativeForest, SplitPredicate, Tree
-from genforest.imputer import conditional_tuples
+from genforest.imputer import conditional_tuples, impute_dataset
 from genforest.measure import NumericInterval, Support, uniform_mass
 from genforest.sampler import generate
 from genforest.trainer import TrainConfig, get_loss, train
@@ -17,16 +18,25 @@ from oracles import enumerate_partition, full_poprisk, node_mask, partition_elem
 
 def _manual_forest(toy2d, preds):
     """Build a GF of stumps over toy2d: one tree per (feature, threshold)."""
-    trees, leaf_rows = [], []
+    trees = []
     for j, t in preds:
         tree = Tree(toy2d.schema)
-        li, ri = tree.split(tree.root, SplitPredicate(feature=j, threshold=t))
-        rows = np.arange(toy2d.m)
-        left = rows[toy2d.columns[j][rows] <= t]
-        right = rows[toy2d.columns[j][rows] > t]
+        tree.split(tree.root, SplitPredicate(feature=j, threshold=t))
         trees.append(tree)
-        leaf_rows.append({li: left, ri: right})
-    return GenerativeForest(toy2d.schema, trees, dataset=toy2d, leaf_rows=leaf_rows)
+    return GenerativeForest(toy2d.schema, trees, dataset=toy2d)
+
+
+def _model_outputs(forest):
+    """GF and EOGT generation, density at complete training rows, and
+    imputation of masked training rows, as bytes and floats."""
+    ds, eogt = forest.dataset, forest.to_eogt()
+    points = [[col[i].item() for col in ds.routing_columns()] for i in range(0, ds.m, 7)]
+    masked, _ = apply_mcar(ds.take_rows(np.arange(40), relearn_numeric=False), 0.3, seed=2)
+    return [
+        [c.tobytes() for f in (forest, eogt) for c in generate(f, 200, seed=1).columns],
+        [f.density(x) for f in (forest, eogt) for x in points],
+        [c.tobytes() for c in impute_dataset(forest, masked, seed=3).columns],
+    ]
 
 
 class TestTree:
@@ -283,20 +293,107 @@ class TestSerialization:
         with pytest.raises(DataError):
             GenerativeForest.load(p, dataset=forest.dataset)
 
-    @pytest.mark.parametrize("code", [-1, 3])
+    @staticmethod
+    def _categorical_stump(ds, path) -> dict:
+        """Save a one-split GF on ``ds``'s categorical feature 1 to ``path``
+        and return the file's document."""
+        tree = Tree(ds.schema)
+        tree.split(tree.root, SplitPredicate(feature=1, subset=frozenset({1})))
+        GenerativeForest(ds.schema, [tree], dataset=ds).save(path)
+        assert GenerativeForest.load(path, dataset=ds).trees[0].nodes[0].pred.subset == {1}
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("code", [-1, 3, 1.5])
     def test_subset_code_outside_the_categories(self, mixed_ds, tmp_path, code):
-        tree = Tree(mixed_ds.schema)
-        left, right = tree.split(tree.root, SplitPredicate(feature=1, subset=frozenset({1})))
-        k = mixed_ds.routing_columns()[1]
-        rows = [{left: np.flatnonzero(k != 1), right: np.flatnonzero(k == 1)}]
         p = tmp_path / "model.json"
-        GenerativeForest(mixed_ds.schema, [tree], dataset=mixed_ds, leaf_rows=rows).save(p)
-        assert GenerativeForest.load(p, dataset=mixed_ds).trees[0].nodes[0].pred.subset == {1}
-        doc = json.loads(p.read_text())
+        doc = self._categorical_stump(mixed_ds, p)
         doc["trees"][0]["nodes"][0]["subset"].append(code)
         p.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="node 0: cannot replay its split: subset holds a code outside"):
             GenerativeForest.load(p, dataset=mixed_ds)
+
+    def test_categorical_split_needs_a_subset(self, mixed_ds, tmp_path):
+        p = tmp_path / "model.json"
+        doc = self._categorical_stump(mixed_ds, p)
+        node = doc["trees"][0]["nodes"][0]
+        node["threshold"] = 0.5
+        del node["subset"]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="node 0: cannot replay its split: a categorical feature splits on a subset"):
+            GenerativeForest.load(p, dataset=mixed_ds)
+
+    @pytest.mark.parametrize("mode", ["gf", "eogt"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # a negative index would alias the last feature
+            pytest.param({"feature": -1}, "feature -1 is not an int in 0..1", id="feature=-1"),
+            pytest.param({"feature": 2}, "feature 2 is not an int in 0..1", id="feature=2"),
+            pytest.param({"feature": 1.0}, "feature 1.0 is not an int in 0..1", id="feature=1.0"),
+            pytest.param({"threshold": float("nan")}, "threshold nan is not a finite float", id="threshold=nan"),
+            pytest.param({"threshold": float("inf")}, "threshold inf is not a finite float", id="threshold=inf"),
+            pytest.param({"threshold": "0.5"}, "threshold '0.5' is not a finite float", id="threshold='0.5'"),
+            pytest.param({"subset": [0]}, "exactly one of threshold/subset required", id="both"),
+            pytest.param({"threshold": None, "subset": [0]}, "a real feature splits on a threshold", id="subset"),
+            pytest.param({"threshold": None, "subset": [[0]]}, "unhashable type", id="subset=[[0]]"),
+        ],
+    )
+    def test_split_feature_and_threshold_must_be_valid(self, toy_forest, tmp_path, mode, edit, message):
+        forest, _ = toy_forest
+        p = tmp_path / "model.json"
+        (forest if mode == "gf" else forest.to_eogt()).save(p)
+        doc = json.loads(p.read_text())
+        doc["trees"][1]["nodes"][0].update(edit)
+        p.write_text(json.dumps(doc))  # NaN and Infinity, which json.load reads back
+        with pytest.raises(DataError, match=f"node 0: cannot replay its split: {message}"):
+            GenerativeForest.load(p, dataset=forest.dataset)
+
+    def test_saved_gf_file_holds_no_leaf_rows(self, toy_forest, tmp_path):
+        forest, _ = toy_forest
+        p = tmp_path / "model.json"
+        forest.save(p)
+        doc = json.loads(p.read_text())
+        assert doc["version"] == 2
+        assert set(doc) == {"format", "version", "mode", "pi", "schema", "trees", "data_hash"}
+
+    @pytest.mark.parametrize("edit", ["none", "duplicate", "drop", "not_a_leaf", "moved"])
+    def test_version_1_file_loads_without_its_leaf_rows(self, walk_forest, tmp_path, edit):
+        # a version-1 file also stored each leaf's training rows; loading reads
+        # none of them, edited or not, and routes the rows by the splits
+        p = tmp_path / "model.json"
+        walk_forest.save(p)
+        doc = json.loads(p.read_text())
+        doc["version"] = 1
+        doc["leaf_rows"] = [{str(l): rows.tolist() for l, rows in d.items()} for d in walk_forest.leaf_rows]
+        per_tree = doc["leaf_rows"][1]
+        a, b = sorted(per_tree, key=lambda l: -len(per_tree[l]))[:2]
+        if edit == "duplicate":
+            per_tree[b].append(per_tree[a][0])
+        elif edit == "drop":
+            per_tree[a].pop()
+        elif edit == "not_a_leaf":
+            per_tree["0"] = per_tree.pop(a)
+        elif edit == "moved":
+            # two rows trade leaves: the leaf rows still partition the rows
+            per_tree[a][0], per_tree[b][0] = per_tree[b][0], per_tree[a][0]
+        p.write_text(json.dumps(doc))
+        back = GenerativeForest.load(p, dataset=walk_forest.dataset)
+        assert [list(d) for d in back.leaf_rows] == [list(d) for d in walk_forest.leaf_rows]
+        for got, want in zip(back.leaf_rows, walk_forest.leaf_rows):
+            assert all(got[l].dtype == want[l].dtype and np.array_equal(got[l], want[l]) for l in want)
+        assert back.to_eogt().arc_p == walk_forest.to_eogt().arc_p
+        assert _model_outputs(back) == _model_outputs(walk_forest)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", True, None], ids=repr)
+    def test_unsupported_version_is_named(self, toy_forest, tmp_path, version):
+        forest, _ = toy_forest
+        p = tmp_path / "model.json"
+        forest.save(p)
+        doc = json.loads(p.read_text())
+        doc["version"] = version
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"model version {re.escape(repr(version))} is not supported"):
+            GenerativeForest.load(p, dataset=forest.dataset)
 
     def test_byte_identical_saves(self, toy_forest, tmp_path):
         forest, _ = toy_forest
@@ -329,37 +426,6 @@ class TestSerialization:
         with pytest.raises(DataError, match="schema"):
             GenerativeForest.load(p)
 
-    @pytest.mark.parametrize("edit", ["duplicate", "drop", "not_a_leaf"])
-    def test_leaf_rows_must_partition_the_rows(self, toy_forest, tmp_path, edit):
-        forest, _ = toy_forest
-        p = tmp_path / "model.json"
-        forest.save(p)
-        doc = json.loads(p.read_text())
-        per_tree = doc["leaf_rows"][1]
-        a, b = sorted(per_tree, key=lambda l: -len(per_tree[l]))[:2]
-        if edit == "duplicate":
-            per_tree[b].append(per_tree[a][0])
-        elif edit == "drop":
-            per_tree[a].pop()
-        else:
-            per_tree["0"] = per_tree.pop(a)
-        p.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="tree 1"):
-            GenerativeForest.load(p, dataset=forest.dataset)
-
-    def test_leaf_rows_must_be_the_rows_the_splits_send(self, toy_forest, tmp_path):
-        # two rows trade leaves: the leaf rows still partition the rows
-        forest, _ = toy_forest
-        p = tmp_path / "model.json"
-        forest.save(p)
-        doc = json.loads(p.read_text())
-        per_tree = doc["leaf_rows"][1]
-        a, b = sorted(per_tree, key=lambda l: -len(per_tree[l]))[:2]
-        per_tree[a][0], per_tree[b][0] = per_tree[b][0], per_tree[a][0]
-        p.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="tree 1: leaf rows are not the training rows its splits send"):
-            GenerativeForest.load(p, dataset=forest.dataset)
-
     def test_arc_p_must_cover_the_internal_nodes(self, toy_forest, tmp_path):
         p = tmp_path / "eogt.json"
         toy_forest[0].to_eogt().save(p)
@@ -370,8 +436,8 @@ class TestSerialization:
             GenerativeForest.load(p)
 
     def test_to_eogt_names_an_internal_node_without_rows(self, walk_forest, tmp_path):
-        # the file loads, as its leaf rows are the rows its splits send to
-        # each leaf, but one internal node holds none of them
+        # the file loads, but its splits send none of the rows to one
+        # internal node
         p = tmp_path / "model.json"
         walk_forest.save(p)
         t_idx, node = empty_a_subtree(p, walk_forest)
@@ -474,10 +540,7 @@ class TestEogt:
 class TestValidation:
     def test_bad_pi(self, toy2d):
         with pytest.raises(ValueError):
-            _f = GenerativeForest(
-                toy2d.schema, [Tree(toy2d.schema)], pi=1.5,
-                dataset=toy2d, leaf_rows=[{0: np.arange(toy2d.m)}],
-            )
+            GenerativeForest(toy2d.schema, [Tree(toy2d.schema)], pi=1.5, dataset=toy2d)
 
     def test_gf_needs_dataset(self, toy2d):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ class TestConfig:
             {"mode": "boost"},
             {"pi": 0.0},
             {"loss": "hinge"},
-            {"min_child_rows": 0},
+            {"cat_cutoff": 1},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -61,9 +61,7 @@ class TestTraining:
         loss = get_loss("square")
         forest, history = train(ds, TrainConfig(n_trees=1, n_splits=1, seed=0))
         tree = Tree(ds.schema)
-        stump = GenerativeForest(
-            ds.schema, [tree], dataset=ds, leaf_rows=[{tree.root: np.arange(4)}]
-        )
+        stump = GenerativeForest(ds.schema, [tree], dataset=ds)
         cands = [1.5, 2.5, 3.5]
         deltas = [
             risk_delta(stump, 0, tree.root, SplitPredicate(feature=0, threshold=t), loss)
@@ -78,8 +76,9 @@ class TestTraining:
         assert history == []
         assert forest.trees[0].n_leaves() == 1
 
-    def test_min_child_rows(self, toy2d):
-        forest, _ = train(toy2d, TrainConfig(n_trees=1, n_splits=5, min_child_rows=3, seed=0))
+    def test_min_child_rows(self, toy2d, monkeypatch):
+        monkeypatch.setattr(trainer, "MIN_CHILD_ROWS", 3)
+        forest, _ = train(toy2d, TrainConfig(n_trees=1, n_splits=5, seed=0))
         for per_tree in forest.leaf_rows:
             for rows in per_tree.values():
                 assert len(rows) >= 3
@@ -425,7 +424,8 @@ class TestScoringAgainstDense:
     @pytest.mark.parametrize("loss_name", LOSSES)
     def test_fits_match_dense_scorers(self, monkeypatch, loss_name):
         ds, _ = self._categorical_forest()
-        cfg = TrainConfig(n_trees=3, n_splits=20, loss=loss_name, cat_cutoff=5, min_child_rows=3)
+        monkeypatch.setattr(trainer, "MIN_CHILD_ROWS", 3)
+        cfg = TrainConfig(n_trees=3, n_splits=20, loss=loss_name, cat_cutoff=5)
         _, history = train(ds, cfg)
         monkeypatch.setattr(trainer, "_score_numeric", dense_score_numeric)
         monkeypatch.setattr(trainer, "_score_categorical", dense_categorical_blocks)
@@ -472,8 +472,8 @@ class TestCategoricalCandidates:
         monkeypatch.setattr(trainer, "_SCORE_BLOCK", block)
         rows = [["a"]] * 10 + [["b"]] * 10 + [["c"], ["d"]]
         ds = dataset_from_rows(["k"], [CATEGORICAL], rows)
-        cfg = TrainConfig(min_child_rows=3)
-        pred, delta = self._stump_split(ds, cfg)
+        monkeypatch.setattr(trainer, "MIN_CHILD_ROWS", 3)
+        pred, delta = self._stump_split(ds, TrainConfig())
         assert pred.subset == frozenset({1})
         cells = trainer._one_cell([Tree(ds.schema)], Tree(ds.schema).supports[0], np.arange(ds.m), ds.schema)
         ties = dense_score_categorical(cells, 0, ds.schema.domains[0], [[1], [1, 2, 3]],
