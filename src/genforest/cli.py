@@ -88,6 +88,18 @@ def _load_mask_for(path, ds) -> np.ndarray:
     return mask
 
 
+def _each_row(ds, fn) -> list:
+    """``fn`` of each row's raw values; a ValueError (a value outside the
+    model's domain) becomes a DataError naming the CSV row."""
+    out = []
+    for i in range(ds.m):
+        try:
+            out.append(fn(imputer.raw_row(ds, i)))
+        except ValueError as e:
+            raise DataError(f"row {i + 2}: {e}") from e
+    return out
+
+
 def cmd_impute(args) -> int:
     forest = _load_model(args.model, args.train)
     ds = load_csv(args.data, schema=forest.schema)
@@ -98,6 +110,7 @@ def cmd_impute(args) -> int:
             holes = np.flatnonzero(mask[:, j])
             columns[j][holes] = MISSING_CODE if dom.kind == CATEGORICAL else np.nan
         ds = ds.with_columns(columns)
+    _each_row(ds, forest.schema.check_row)
     out = imputer.impute_dataset(forest, ds, seed=args.seed, threads=args.threads)
     assert not out.missing_mask().any(), "imputation left missing cells"
     out.to_csv(args.out)
@@ -110,12 +123,7 @@ def cmd_density(args) -> int:
     ds = load_csv(args.data, schema=forest.schema)
     if ds.missing_mask().any():
         raise DataError("density requires complete observations")
-    rows = []
-    for i in range(ds.m):
-        try:
-            rows.append(forest.density(imputer.raw_row(ds, i)))
-        except ValueError as e:  # a value outside the model's domain
-            raise DataError(f"row {i + 2}: {e}") from e
+    rows = _each_row(ds, forest.density)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)

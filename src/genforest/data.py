@@ -70,10 +70,20 @@ class Schema:
     def __iter__(self):
         return iter(zip(self.names, self.domains))
 
-    def check_row(self, values) -> None:
-        """Raise ValueError unless ``values`` holds one value per feature."""
+    def check_row(self, values, complete: bool = False) -> None:
+        """Raise ValueError unless ``values`` holds one raw value per feature
+        inside its learned domain, or None where it is missing and the row
+        need not be ``complete``: a known category code, or a number in
+        [lo, hi] that is integer-valued for an integer feature."""
         if len(values) != self.d:
             raise ValueError(f"expected a row of {self.d} values, got {len(values)}")
+        for name, dom, x in zip(self.names, self.domains, values):
+            if x is None:
+                if complete:
+                    raise ValueError(f"{name} is missing: a density needs every value")
+            elif not (x in range(len(dom.categories)) if dom.kind == CATEGORICAL
+                      else dom.lo <= x <= dom.hi and (dom.kind != INTEGER or float(x).is_integer())):
+                raise ValueError(f"{name}={x!r} lies outside the learned domain")
 
 
 class Dataset:

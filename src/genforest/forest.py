@@ -167,14 +167,15 @@ class WalkNode:
     The edge into a node is its parent's coin followed by ``skip`` forced
     steps, at which the coin was 0 or 1; ``checks`` pairs each feature split
     on along that edge with its restriction at this node, for
-    ``walk_cells``. A branching node holds its ``support``, with its
-    per-feature uniform ``fracs`` (EOGT) or its training ``rows`` split into
-    the (left, right) sides of its split (GF), until it is expanded; then
+    ``walk_cells``. Until it is expanded, a branching node holds its
+    ``support``, its per-feature uniform ``fracs`` (EOGT) or its training
+    ``rows`` split into the (left, right) sides of its split (GF), and the
+    split feature's restriction on both ``sides`` from its coin; then
     ``children`` is its (left, right) pair."""
 
-    __slots__ = ("t_idx", "node", "p", "mass", "skip", "checks", "support", "fracs", "rows", "children")
+    __slots__ = ("t_idx", "node", "p", "mass", "skip", "checks", "support", "fracs", "rows", "sides", "children")
 
-    def __init__(self, t_idx, node, p, mass, skip, checks, support, fracs, rows):
+    def __init__(self, t_idx, node, p, mass, skip, checks, support, fracs, rows, sides):
         self.t_idx = t_idx
         self.node = node
         self.p = p
@@ -184,6 +185,7 @@ class WalkNode:
         self.support = support
         self.fracs = fracs
         self.rows = rows
+        self.sides = sides
         self.children = None
 
 
@@ -252,48 +254,45 @@ class GenerativeForest:
     def branch_prob(self, t_idx: int, node: int, support: Support, rows: np.ndarray | None) -> float:
         """Probability of taking the right branch at internal ``node`` of tree
         ``t_idx`` given the current support, which lies inside the node's,
-        and, in GF mode, the rows still compatible with it: the fraction of
-        those rows on the right (GF) or the uniform-corrected arc probability
-        (EOGT)."""
-        n = self.trees[t_idx].nodes[node]
-        assert not n.is_leaf
-        if self.mode == "gf":
-            n_right = int(np.count_nonzero(self.node_member_mask(t_idx, node, rows)))
-            assert len(rows) > 0, "unreachable: empty support during sampling"
-            return n_right / len(rows)
-        return self._eogt_coin(t_idx, node, support, self._fractions(support))[0]
+        and, in GF mode, the rows still compatible with it: the coin of
+        ``_coin``."""
+        return self._coin(t_idx, node, support, self._fractions(support), rows)[0]
 
     def _fractions(self, sup: Support) -> tuple[float, ...]:
         """Per-feature uniform fractions of a support, which ``uniform_mass``
         multiplies."""
         return tuple(restriction_uniform_fraction(d, r) for d, r in zip(self.schema.domains, sup.restrictions))
 
-    def _eogt_coin(self, t_idx: int, node: int, sup: Support, fracs: tuple[float, ...]):
-        """The EOGT coin at internal ``node`` of tree ``t_idx`` given the
-        support and its per-feature uniform fractions, and the split
-        feature's restriction on the (left, right) sides. The support lies
-        inside the node's, so its intersection with a child differs from it
-        on the split feature alone. A side that the support misses forces the
-        coin to the other side. Else the coin is the uniform-corrected arc
-        probability p_U[C_t|X_r] p / (p_U[C_t|X_r] p + p_U[C_f|X_l] (1 - p)),
-        where each side's uniform mass is the product of the fractions in
-        feature order with the split feature's replaced: the product
-        ``uniform_mass`` forms, to the last bit, as the fractions are finite
-        and non-negative. Where both corrected masses are 0 (below a
-        zero-width cell) it is the arc probability."""
+    def _coin(self, t_idx: int, node: int, sup: Support, fracs: tuple[float, ...] | None, rows: np.ndarray | None):
+        """The coin at internal ``node`` of tree ``t_idx`` given the support,
+        the split feature's restriction on the (left, right) sides, and,
+        where a GF coin counts them, which of the training ``rows``
+        compatible with the support the split sends right (else None).
+
+        The support lies inside the node's, which its children tile, so its
+        intersection with a child differs from it on the split feature alone.
+        A side that the support misses holds no compatible row and forces
+        the coin to the other side, whose restriction is the support's own.
+        Else the coin is the fraction of the rows sent right (GF), or the
+        uniform-corrected arc probability p_U[C_t|X_r] p / (p_U[C_t|X_r] p +
+        p_U[C_f|X_l] (1 - p)) (EOGT), each side's uniform mass the product of
+        the support's ``fracs`` in feature order with the split feature's
+        replaced: ``uniform_mass``'s product, to the last bit, as they are
+        finite and non-negative. Below a zero-width cell, where both
+        corrected masses are 0, it is the arc probability."""
         tree = self.trees[t_idx]
         n = tree.nodes[node]
         j = n.pred.feature
         r = sup.restrictions[j]
-        sides = (
-            r.intersect(tree.supports[n.left].restrictions[j]),
-            r.intersect(tree.supports[n.right].restrictions[j]),
-        )
-        r_f, r_t = sides
+        r_t = r.intersect(tree.supports[n.right].restrictions[j])
         if r_t.is_empty():
-            return 0.0, sides
+            return 0.0, (r, r_t), None
+        r_f = r.intersect(tree.supports[n.left].restrictions[j])
         if r_f.is_empty():
-            return 1.0, sides
+            return 1.0, (r_f, r_t), None
+        if rows is not None:
+            mask = self.node_member_mask(t_idx, node, rows)
+            return int(np.count_nonzero(mask)) / len(rows), (r_f, r_t), mask
         dom = self.schema.domains[j]
         head, tail = prod(fracs[:j]), fracs[j + 1:]
         u_t = prod(tail, start=head * restriction_uniform_fraction(dom, r_t))
@@ -302,7 +301,7 @@ class GenerativeForest:
         qt = (u_t / u_node[n.right]) * p_arc if u_node[n.right] > 0 else 0.0
         qf = (u_f / u_node[n.left]) * (1.0 - p_arc) if u_node[n.left] > 0 else 0.0
         denom = qt + qf
-        return (qt / denom if denom > 0 else p_arc), sides
+        return (qt / denom if denom > 0 else p_arc), (r_f, r_t), None
 
     def _narrowed(self, sup: Support, fracs, j: int, r: Restriction):
         """The support with feature ``j`` restricted to ``r``, and its
@@ -411,39 +410,38 @@ class GenerativeForest:
         self._walk_full = self.mode == "eogt" and sum(self._walk_sizes) + 2 > WALK_NODE_CAP
 
     def _walk_expand(self, node: WalkNode) -> None:
-        sides = node.rows or (None, None)
-        children = tuple(self._walk_side(node, go_right, side) for go_right, side in enumerate(sides))
+        rows = node.rows or (None, None)
+        children = tuple(self._walk_side(node, go_right, side) for go_right, side in enumerate(rows))
         # readers look at node.children without the lock: attach the children
-        # before the count can mark the walk full, and drop the support (only
-        # cells need one; the rows live on in the children) and its fractions
-        # last, so that a node seen without children still has both
+        # before the count can mark the walk full, and drop what only the
+        # expansion reads (only cells need a support; the rows live on in the
+        # children) last, so that a node seen without children still has it
         node.children = children
         self._walk_store(*children)
-        node.support = node.fracs = node.rows = None
+        node.support = node.fracs = node.rows = node.sides = None
 
     def _walk_side(self, node: WalkNode, right: bool, rows: np.ndarray | None) -> WalkNode:
-        """The run from one child of a branching walk node, given the training
-        rows on that side (None in EOGT mode). Its mass is the fraction of
-        rows on that side (GF) or the node's mass times that side's coin
-        (EOGT); the forced steps after it multiply it by exactly 1.0."""
-        tree = self.trees[node.t_idx]
-        n = tree.nodes[node.node]
-        child = n.right if right else n.left
-        j = n.pred.feature
-        r = node.support.restrictions[j].intersect(tree.supports[child].restrictions[j])
+        """The run from one side of a branching walk node, given its training
+        rows (None in EOGT mode) and its restriction from the node's coin. Its
+        mass is the fraction of rows on that side (GF) or the node's mass
+        times that side's coin (EOGT); forced steps multiply it by exactly 1.0."""
+        n = self.trees[node.t_idx].nodes[node.node]
+        j, r = n.pred.feature, node.sides[right]
         if rows is None:
             mass = node.mass * (node.p if right else 1.0 - node.p)
         else:
             mass = len(rows) / self.dataset.m
         sup, fracs = self._narrowed(node.support, node.fracs, j, r)
-        return self._walk_run(node.t_idx, child, sup, fracs, rows, mass, {j: r})
+        return self._walk_run(node.t_idx, n.right if right else n.left, sup, fracs, rows, mass, {j: r})
 
     def _walk_run(self, t_idx, node, sup, fracs, rows, mass, checks) -> WalkNode:
         """Follow the forced steps, whose coin is 0 or 1, from a sampler state
         to the next branching node or to the cell where every tree sits at a
-        leaf. A GF coin is the fraction of the rows that the split sends
-        right. An EOGT run carries its support's uniform fractions for the
-        coins; a step takes the side's restriction that its coin computed."""
+        leaf. Both modes settle a step by ``_coin``: a support that misses a
+        side of the split forces the step before any row is masked or mass
+        computed. A run carries its support's uniform fractions (EOGT) or its
+        compatible training rows (GF), and a step takes the side's
+        restriction that its coin computed."""
         trees, skip = self.trees, 0
         while t_idx < len(trees):
             tree = trees[t_idx]
@@ -451,27 +449,18 @@ class GenerativeForest:
             if n.is_leaf:
                 t_idx, node = t_idx + 1, tree.root  # every tree's root is node 0
                 continue
-            if rows is None:
-                p, sides = self._eogt_coin(t_idx, node, sup, fracs)
-            else:
-                mask = self.node_member_mask(t_idx, node, rows)
-                p, sides = int(np.count_nonzero(mask)) / len(rows), None
+            p, sides, mask = self._coin(t_idx, node, sup, fracs, rows)
             if 0.0 < p < 1.0:
                 # a GF node keeps its rows split by side, for its expansion
-                split = None if rows is None else (rows[~mask], rows[mask])
-                return WalkNode(t_idx, node, p, mass, skip, tuple(checks.items()), sup, fracs, split)
+                split = None if mask is None else (rows[~mask], rows[mask])
+                return WalkNode(t_idx, node, p, mass, skip, tuple(checks.items()), sup, fracs, split, sides)
             right = bool(p)
-            child = n.right if right else n.left
-            j = n.pred.feature
-            if sides is None:
-                r = sup.restrictions[j].intersect(tree.supports[child].restrictions[j])
-            else:
-                r = sides[right]
+            j, r = n.pred.feature, sides[right]
             sup, fracs = self._narrowed(sup, fracs, j, r)
             checks[j] = r
             skip += 1
-            node = child
-        return WalkNode(t_idx, -1, None, mass, skip, tuple(checks.items()), sup, fracs, None)
+            node = n.right if right else n.left
+        return WalkNode(t_idx, -1, None, mass, skip, tuple(checks.items()), sup, fracs, None, None)
 
     # -- density -------------------------------------------------------------
 
@@ -493,20 +482,14 @@ class GenerativeForest:
         zero-volume cell the cell probability itself is returned. The cell
         and its mass come from the cached walk, where a complete point passes
         at most one child of each branching node."""
-        self.schema.check_row(values)
-        full = Support.full(self.schema)
-        for name, r, x in zip(self.schema.names, full.restrictions, values):
-            if x is None:
-                raise ValueError(f"{name} is missing: a density needs every value")
-            if not r.contains(x):
-                raise ValueError(f"{name}={x!r} lies outside the learned domain")
+        self.schema.check_row(values, complete=True)
         cells = self.walk_cells(values)
         if cells:
             (cell,) = cells
             p_cell, sup = cell.mass, cell.support
         else:
             # a cell of zero mass is not on the walk
-            p_cell, sup = 0.0, full
+            p_cell, sup = 0.0, Support.full(self.schema)
             for t in self.trees:
                 sup = sup.intersect(t.supports[t.leaf_of(values)])
         volume = uniform_mass(self.schema, sup) * self.domain_volume()

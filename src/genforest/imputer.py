@@ -4,7 +4,6 @@ uniformly."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 from .data import CATEGORICAL, INTEGER, MISSING_CODE, DataError, Dataset
 from .forest import GenerativeForest
 from .measure import Support, restriction_uniform_fraction
-from .sampler import draw_uniform
+from .sampler import draw_uniform, map_rows
 
 TIE_REL_TOL = 1e-12
 
@@ -91,12 +90,7 @@ def impute_dataset(forest: GenerativeForest, ds_masked: Dataset, seed: int = 0, 
             return None
         return impute(forest, raw_row(ds_masked, i), np.random.default_rng(streams[i]))
 
-    if threads <= 1:
-        results = [one(i) for i in range(m)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, range(m)))
-
+    results = map_rows(one, m, threads)
     columns = [c.copy() for c in ds_masked.columns]
     for i, res in enumerate(results):
         if res is None:

@@ -4,6 +4,7 @@ random streams."""
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -57,6 +58,19 @@ def sample_one(forest: GenerativeForest, rng: np.random.Generator) -> list:
     return draw_uniform(forest.schema, node.support, rng)
 
 
+def map_rows(one, n: int, threads: int) -> list:
+    """``[one(i) for i in range(n)]``, with the rows shared out among at most
+    ``threads`` pool threads, and never more threads than rows or CPUs. Each
+    row's result must not depend on the thread it runs on."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    workers = min(threads, n, os.cpu_count() or 1)
+    if workers <= 1:
+        return [one(i) for i in range(n)]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(one, range(n)))
+
+
 def generate(forest: GenerativeForest, n: int, seed: int = 0, threads: int = 1) -> Dataset:
     """Draw ``n`` observations. Each observation gets its own spawned random
     stream, so output is bitwise identical for any thread count."""
@@ -67,17 +81,7 @@ def generate(forest: GenerativeForest, n: int, seed: int = 0, threads: int = 1) 
     def one(i: int) -> list:
         return sample_one(forest, np.random.default_rng(streams[i]))
 
-    if threads <= 1:
-        raw = [one(i) for i in range(n)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            raw = list(ex.map(one, range(n)))
-
-    schema = forest.schema
-    columns = []
-    for j, dom in enumerate(schema.domains):
-        if dom.kind == CATEGORICAL:
-            columns.append(np.array([r[j] for r in raw], dtype=np.int32))
-        else:
-            columns.append(np.array([r[j] for r in raw], dtype=np.float64))
-    return Dataset(schema, columns)
+    raw = map_rows(one, n, threads)
+    columns = [np.array([r[j] for r in raw], dtype=np.int32 if dom.kind == CATEGORICAL else np.float64)
+               for j, dom in enumerate(forest.schema.domains)]
+    return Dataset(forest.schema, columns)

@@ -162,6 +162,20 @@ class TestExitCodes:
                     "--data", str(data), "--out", str(tmp_path / "imp.csv")])
         assert code == 3
 
+    def test_impute_names_a_row_outside_the_domain(self, tmp_path, toy_csv, model_path, capsys):
+        data = tmp_path / "far.csv"
+        data.write_text("x,y\n0.15,\n5.0,\n")
+        code = run(["impute", "--model", str(model_path), "--train", str(toy_csv),
+                    "--data", str(data), "--out", str(tmp_path / "imp.csv")])
+        assert code == 3
+        assert "row 3: x=5.0 lies outside the learned domain" in capsys.readouterr().err
+
+    def test_thread_count_below_one(self, tmp_path, toy_csv, model_path, capsys):
+        code = run(["--threads", "0", "generate", "--model", str(model_path), "--train", str(toy_csv),
+                    "--n", "5", "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert "threads must be at least 1, got 0" in capsys.readouterr().err
+
     def test_eval_impute_metrics_rejects_a_mask_of_another_shape(self, tmp_path, toy2d, toy_csv, capsys):
         mask_path = tmp_path / "mask.csv"
         save_mask(np.zeros((toy2d.d, toy2d.m), dtype=bool), mask_path)

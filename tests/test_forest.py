@@ -79,6 +79,22 @@ class TestPartition:
         elems = enumerate_partition(forest)
         assert len(elems) == 3
 
+    def test_full_gf_walk_masks_only_where_the_support_meets_both_sides(self, toy2d, monkeypatch):
+        # two stumps with the same split: below the first one's coin the
+        # support lies on one side of the second's, so its coin is forced
+        # without masking rows
+        forest = _manual_forest(toy2d, [(0, 0.5), (0, 0.5)])
+        calls, mask = [], GenerativeForest.node_member_mask
+
+        def counted(self, t_idx, node, rows):
+            calls.append((t_idx, node))
+            return mask(self, t_idx, node, rows)
+
+        monkeypatch.setattr(GenerativeForest, "node_member_mask", counted)
+        cells = forest.walk_cells([None, None])
+        assert [cell.mass for cell in cells] == [0.5, 0.5]
+        assert calls == [(0, 0)]
+
     def test_partition_is_exhaustive(self, toy_forest, toy2d):
         forest, _ = toy_forest
         elems = enumerate_partition(forest)
@@ -232,6 +248,25 @@ class TestDensity:
         for f in (forest, forest.to_eogt()):
             with pytest.raises(ValueError, match=r"y=2\.0"):
                 f.density([0.5, 2.0])
+
+    def test_non_integer_value_of_an_integer_feature(self):
+        # splits at 5.5 and 7.5 leave no cell holding i = 5.5, nor any value
+        # between two integers
+        rows = [[i, r, c] for i in range(11) for r, c in ((0.25, "a"), (0.75, "b"))]
+        ds = dataset_from_rows(["i", "r", "c"], [INTEGER, REAL, CATEGORICAL], rows)
+        trees = []
+        for j, t in ((0, 5.5), (0, 7.5), (1, 0.5)):
+            tree = Tree(ds.schema)
+            tree.split(tree.root, SplitPredicate(feature=j, threshold=t))
+            trees.append(tree)
+        forest = GenerativeForest(ds.schema, trees, dataset=ds)
+        for f in (forest, forest.to_eogt()):
+            assert f.density([5.0, 0.5, 1])[0] > 0 and f.density([6.0, 0.5, 1])[0] > 0
+            for x in ([5.5, 0.5, 1], [float("nan"), 0.5, 1]):
+                with pytest.raises(ValueError, match=r"i=\S+ lies outside the learned domain"):
+                    f.density(x)
+            with pytest.raises(ValueError, match="c=2 lies outside the learned domain"):
+                f.density([5.0, 0.5, 2])
 
     def test_missing_value_names_the_feature(self, walk_forest):
         row = [col[0].item() for col in walk_forest.dataset.routing_columns()]
@@ -481,19 +516,35 @@ class TestEogt:
 
     def test_branch_prob_equals_the_oracle(self, walk_forest, monkeypatch):
         # bit for bit, at every node and support the leaf tuple enumeration
-        # reaches
+        # reaches (EOGT) and at every state of the per-step sampler's exact law
+        # with its compatible rows (GF), among them, in both modes, states
+        # whose support misses a side of the split
         eogt = walk_forest.to_eogt()
-        oracle, seen = oracles.eogt_branch_prob, []
+        eogt_oracle, gf_oracle, seen = oracles.eogt_branch_prob, oracles.step_coin, []
 
-        def recorded(forest, t_idx, node, support):
-            p = oracle(forest, t_idx, node, support)
-            seen.append((t_idx, node, support, p))
+        def eogt_recorded(forest, t_idx, node, support):
+            p = eogt_oracle(forest, t_idx, node, support)
+            seen.append((forest, t_idx, node, support, None, p))
             return p
 
-        monkeypatch.setattr(oracles, "eogt_branch_prob", recorded)
+        def gf_recorded(forest, state, t_idx):
+            p = gf_oracle(forest, state, t_idx)
+            seen.append((forest, t_idx, state.positions[t_idx], state.support, state.rows, p))
+            return p
+
+        monkeypatch.setattr(oracles, "eogt_branch_prob", eogt_recorded)
+        monkeypatch.setattr(oracles, "step_coin", gf_recorded)
         oracles.leaf_tuples(eogt)
-        assert len(seen) > 100
-        assert all(eogt.branch_prob(t_idx, node, support, None) == p for t_idx, node, support, p in seen)
+        oracles.support_distribution(walk_forest)
+        missed = {"gf": 0, "eogt": 0}
+        for forest, t_idx, node, support, rows, p in seen:
+            assert forest.branch_prob(t_idx, node, support, rows) == p
+            tree = forest.trees[t_idx]
+            n = tree.nodes[node]
+            j = n.pred.feature
+            sides = [support.restrictions[j].intersect(tree.supports[c].restrictions[j]) for c in (n.left, n.right)]
+            missed[forest.mode] += any(r.is_empty() for r in sides)
+        assert len(seen) > 100 and min(missed.values()) > 0
 
     def test_branch_prob_below_a_zero_width_cell(self, toy2d):
         # both uniform-corrected masses are 0 there: the arc probability when

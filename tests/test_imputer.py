@@ -4,6 +4,7 @@ import pytest
 from genforest import forest as forest_module
 from genforest import imputer as imputer_module
 from genforest.data import DataError, apply_mcar
+from genforest.forest import GenerativeForest, SplitPredicate, Tree
 from genforest.imputer import (
     conditional_tuples,
     impute,
@@ -97,12 +98,26 @@ class TestImpute:
         rng = np.random.default_rng(0)
         assert impute(forest, [0.15, 0.25], rng) == [0.15, 0.25]
 
-    def test_no_consistent_cell_is_a_data_error(self, toy_forest):
-        # every cell of the toy forest splits on x, and none holds x = 5
+    def test_no_consistent_cell_is_a_data_error(self, toy2d):
+        # stumps at x = 0.5 and x = 0.6: no training row has x in (0.5, 0.6],
+        # so the one cell holding x = 0.55 has no mass
+        trees = []
+        for t in (0.5, 0.6):
+            tree = Tree(toy2d.schema)
+            tree.split(tree.root, SplitPredicate(feature=0, threshold=t))
+            trees.append(tree)
+        forest = GenerativeForest(toy2d.schema, trees, dataset=toy2d)
+        assert conditional_tuples(forest, [0.55, None]) == []
+        with pytest.raises(DataError, match=r"\[0\.55, None\]"):
+            impute(forest, [0.55, None], np.random.default_rng(0))
+
+    def test_outside_the_domain_names_the_feature(self, toy_forest):
+        # toy2d's domain is [0.10, 0.90] x [0.15, 0.90]
         forest, _ = toy_forest
-        assert conditional_tuples(forest, [5.0, None]) == []
-        with pytest.raises(DataError, match=r"\[5\.0, None\]"):
-            impute(forest, [5.0, None], np.random.default_rng(0))
+        for f in (forest, forest.to_eogt()):
+            for row, name in (([5.0, None], r"x=5\.0"), ([None, -1.0], r"y=-1\.0")):
+                with pytest.raises(ValueError, match=f"{name} lies outside the learned domain"):
+                    impute(f, row, np.random.default_rng(0))
 
     def test_rows_of_the_wrong_length(self, toy_forest):
         forest, _ = toy_forest

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from genforest import forest as forest_module
+from genforest import sampler as sampler_module
 from genforest.data import CATEGORICAL, FeatureDomain, Schema, apply_mcar, synth_domain
 from genforest.forest import GenerativeForest
 from genforest.imputer import impute_dataset
@@ -111,6 +113,39 @@ class TestGenerate:
         a = generate(forest, 64, seed=5, threads=1)
         b = generate(forest, 64, seed=5, threads=4)
         assert a.content_hash() == b.content_hash()
+
+    def test_pool_is_bounded_by_rows_and_cpus(self, toy_forest, toy2d, monkeypatch):
+        # a recording executor that runs every row on the calling thread, so
+        # that no large pool is ever started
+        forest, _ = toy_forest
+        masked, _ = apply_mcar(toy2d.take_rows(np.arange(3), relearn_numeric=False), 0.5, seed=1)
+        want = [generate(forest, 3, seed=5).content_hash(), impute_dataset(forest, masked, seed=2).content_hash()]
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sampler_module, "ThreadPoolExecutor", RecordingExecutor)
+        for cpus, pool in ((8, 3), (2, 2), (None, None)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sizes.clear()
+            got = [generate(forest, 3, seed=5, threads=10**6).content_hash(),
+                   impute_dataset(forest, masked, seed=2, threads=10**6).content_hash()]
+            assert got == want and sizes == ([] if pool is None else [pool, pool])
+        for f in (lambda t: generate(forest, 3, threads=t), lambda t: impute_dataset(forest, masked, threads=t)):
+            for threads in (0, -2):
+                with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+                    f(threads)
 
     def test_negative_row_count(self, toy_forest):
         forest, _ = toy_forest
@@ -232,6 +267,8 @@ class TestWalk:
 
         monkeypatch.setattr(GenerativeForest, "_walk_expand", counted)
         monkeypatch.setattr(forest_module, "WALK_NODE_CAP", 200)
+        # four pool threads on any host: the pool is never larger than the CPUs
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         outputs = []
         for threads in (1, 4, 4, 4):
             forest, _ = train(ds, cfg)
