@@ -15,30 +15,30 @@ import numpy as np
 
 from . import evaluator, imputer
 from .data import (
-    CATEGORICAL,
-    MISSING_CODE,
     DataError,
     SYNTH_SIZES,
+    apply_mask,
     apply_mcar,
     load_csv,
     load_mask,
     save_mask,
     synth_domain,
 )
-from .forest import GenerativeForest
-from .measure import get_loss
+from .forest import MODES, GenerativeForest
+from .measure import LOSSES, get_loss
 from .sampler import generate
 from .trainer import TrainConfig, train, write_history_csv
 
 
 def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
+    defaults = TrainConfig()
     p.add_argument("--trees", type=int, required=True, help="number of trees")
     p.add_argument("--splits", type=int, required=True, help="total number of splits")
-    p.add_argument("--mode", choices=["gf", "eogt"], default="gf")
-    p.add_argument("--loss", choices=["square", "log", "matusita"], default="square")
-    p.add_argument("--prior", type=float, default=0.5, help="mixing weight of the real data")
-    p.add_argument("--cat-cutoff", type=int, default=22)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=MODES, default=defaults.mode)
+    p.add_argument("--loss", choices=list(LOSSES), default=defaults.loss)
+    p.add_argument("--prior", type=float, default=defaults.pi, help="mixing weight of the real data")
+    p.add_argument("--cat-cutoff", type=int, default=defaults.cat_cutoff)
+    p.add_argument("--seed", type=int, default=defaults.seed)
 
 
 def _train_cfg(args) -> TrainConfig:
@@ -104,12 +104,7 @@ def cmd_impute(args) -> int:
     forest = _load_model(args.model, args.train)
     ds = load_csv(args.data, schema=forest.schema)
     if args.mask:
-        mask = _load_mask_for(args.mask, ds)
-        columns = [c.copy() for c in ds.columns]
-        for j, dom in enumerate(ds.schema.domains):
-            holes = np.flatnonzero(mask[:, j])
-            columns[j][holes] = MISSING_CODE if dom.kind == CATEGORICAL else np.nan
-        ds = ds.with_columns(columns)
+        ds = apply_mask(ds, _load_mask_for(args.mask, ds))
     _each_row(ds, forest.schema.check_row)
     out = imputer.impute_dataset(forest, ds, seed=args.seed, threads=args.threads)
     assert not out.missing_mask().any(), "imputation left missing cells"

@@ -321,6 +321,12 @@ def apply_mcar(ds: Dataset, rate: float, seed: int) -> tuple[Dataset, np.ndarray
         raise ValueError(f"rate must be in [0, 1), got {rate}")
     rng = np.random.default_rng(seed)
     mask = rng.random((ds.m, ds.d)) < rate
+    return apply_mask(ds, mask), mask
+
+
+def apply_mask(ds: Dataset, mask: np.ndarray) -> Dataset:
+    """The dataset with every cell set in the boolean (m, d) ``mask`` made
+    missing."""
     columns = []
     for j, dom in enumerate(ds.schema.domains):
         col = ds.columns[j].copy()
@@ -329,7 +335,7 @@ def apply_mcar(ds: Dataset, rate: float, seed: int) -> tuple[Dataset, np.ndarray
         else:
             col[mask[:, j]] = np.nan
         columns.append(col)
-    return ds.with_columns(columns), mask
+    return ds.with_columns(columns)
 
 
 def save_mask(mask: np.ndarray, path) -> None:

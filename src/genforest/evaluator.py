@@ -184,11 +184,10 @@ def uniform_generator():
         for dom in train_ds.schema.domains:
             if dom.kind == CATEGORICAL:
                 columns.append(rng.integers(len(dom.categories), size=n).astype(np.int32))
+            elif dom.kind == INTEGER:
+                columns.append(rng.integers(int(dom.lo), int(dom.hi) + 1, size=n).astype(float))
             else:
-                col = rng.uniform(dom.lo, dom.hi, size=n)
-                if dom.kind == INTEGER:
-                    col = np.floor(col + 0.5)
-                columns.append(col)
+                columns.append(rng.uniform(dom.lo, dom.hi, size=n))
         return Dataset(train_ds.schema, columns)
 
     return gen

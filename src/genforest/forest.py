@@ -27,6 +27,10 @@ MODEL_FORMAT = "genforest-model"
 # loading does not read: the splits send the rows to their leaves
 MODEL_VERSION = 2
 
+# a forest is bound to its training data (GF) or to per-arc branch
+# probabilities (EOGT)
+MODES = ("gf", "eogt")
+
 # most nodes an EOGT walk stores (about 0.5 KiB each); past it a step builds
 # the chosen child's run without storing it. Large enough for the whole walk
 # of a small model (3 295 nodes for 10 trees of 100 splits on a 2-D table),
@@ -86,7 +90,6 @@ class _Node:
     pred: SplitPredicate | None = None  # None = leaf
     left: int = -1
     right: int = -1
-    depth: int = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -136,8 +139,8 @@ class Tree:
         if left_r.is_empty() or right_r.is_empty():
             raise ValueError("split produces an empty child support")
         li, ri = len(self.nodes), len(self.nodes) + 1
-        self.nodes.append(_Node(depth=node.depth + 1))
-        self.nodes.append(_Node(depth=node.depth + 1))
+        self.nodes.append(_Node())
+        self.nodes.append(_Node())
         self.supports.append(sup.replace(j, left_r))
         self.supports.append(sup.replace(j, right_r))
         node.pred = pred
@@ -205,7 +208,7 @@ class GenerativeForest:
         dataset: Dataset | None = None,
         arc_p: list[dict[int, float]] | None = None,
     ):
-        if mode not in ("gf", "eogt"):
+        if mode not in MODES:
             raise ValueError(f"bad mode {mode!r}")
         if not 0 < pi < 1:
             raise ValueError("pi must be in (0, 1)")

@@ -15,7 +15,7 @@ from itertools import chain, combinations, groupby, islice
 import numpy as np
 
 from .data import CATEGORICAL, INTEGER, Dataset
-from .forest import GenerativeForest, SplitPredicate, Tree
+from .forest import MODES, GenerativeForest, SplitPredicate, Tree
 from .measure import cell_risk, get_loss, uniform_mass
 
 # random candidate subsets above ``TrainConfig.cat_cutoff``
@@ -43,7 +43,7 @@ class TrainConfig:
             raise ValueError("n_trees must be >= 1")
         if self.n_splits < 0:
             raise ValueError("n_splits must be >= 0")
-        if self.mode not in ("gf", "eogt"):
+        if self.mode not in MODES:
             raise ValueError(f"bad mode {self.mode!r}")
         if not 0 < self.pi < 1:
             raise ValueError("pi must be in (0, 1)")
@@ -111,59 +111,13 @@ class Cells:
         return len(self.sizes)
 
 
-def _build_cells(trees, other, support, combos, rows, sizes, schema):
-    """Assemble a Cells block from leaf-id combinations over the other trees
-    by intersecting restriction bounds feature-wise, vectorized over cells."""
-    n = len(sizes)
-    restr = []
-    fracs = np.empty((n, schema.d))
-    for j, dom in enumerate(schema.domains):
-        base = support.restrictions[j]
-        if dom.kind == CATEGORICAL:
-            n_cats = len(dom.categories)
-            sel = np.zeros((n, n_cats), dtype=bool)
-            sel[:, list(base.codes)] = True
-            for c, t_idx in enumerate(other):
-                tree = trees[t_idx]
-                node_sel = np.zeros((len(tree.nodes), n_cats), dtype=bool)
-                for nid in set(combos[:, c].tolist()):
-                    node_sel[nid, list(tree.supports[nid].restrictions[j].codes)] = True
-                sel &= node_sel[combos[:, c]]
-            restr.append(("cat", sel))
-            fracs[:, j] = sel.sum(axis=1) / n_cats
-        elif dom.kind == INTEGER:
-            a = np.full(n, base.a, dtype=np.int64)
-            b = np.full(n, base.b, dtype=np.int64)
-            for c, t_idx in enumerate(other):
-                tree = trees[t_idx]
-                node_a = np.array([r.restrictions[j].a for r in tree.supports], dtype=np.int64)
-                node_b = np.array([r.restrictions[j].b for r in tree.supports], dtype=np.int64)
-                np.maximum(a, node_a[combos[:, c]], out=a)
-                np.minimum(b, node_b[combos[:, c]], out=b)
-            restr.append(("int", a, b))
-            fracs[:, j] = (b - a + 1) / dom.n_values()
-        else:
-            lo = np.full(n, base.lo)
-            hi = np.full(n, base.hi)
-            for c, t_idx in enumerate(other):
-                tree = trees[t_idx]
-                node_lo = np.array([r.restrictions[j].lo for r in tree.supports])
-                node_hi = np.array([r.restrictions[j].hi for r in tree.supports])
-                np.maximum(lo, node_lo[combos[:, c]], out=lo)
-                np.minimum(hi, node_hi[combos[:, c]], out=hi)
-            restr.append(("num", lo, hi))
-            width = dom.hi - dom.lo
-            fracs[:, j] = np.maximum(hi - lo, 0.0) / width if width > 0 else 1.0
-    return Cells(rows, sizes, fracs, restr)
-
-
-def _affected_cells(trees, skip_tree, support, rows, ds, assign) -> Cells:
-    """Non-empty partition cells inside ``support``: group the leaf's rows by
-    their leaf assignment in every other tree. Zero-count cells carry zero
-    risk before and after any split, so they never materialize."""
-    other = [t for t in range(len(trees)) if t != skip_tree]
-    if not other:
-        return _one_cell(trees, support, rows, ds.schema)
+def _affected_cells(trees, other, support, rows, assign, schema) -> Cells:
+    """Non-empty partition cells inside ``support``: the leaf's rows grouped
+    by their leaf in each tree of ``other``, one cell holding every row when
+    ``other`` is empty. Zero-count cells carry zero risk before and after any
+    split, so they never materialize. A cell's restriction on each feature
+    intersects the leaf's with those of its leaves in the other trees, read
+    from one table over the other trees' nodes."""
     # one integer key per row, mixed radix over the other trees' node ids,
     # ranks the rows' leaf-id tuples lexicographically; the key is renumbered
     # densely whenever the next digit could overflow it
@@ -177,17 +131,50 @@ def _affected_cells(trees, skip_tree, support, rows, ds, assign) -> Cells:
         key = key * n_nodes + assign[t][rows]
         bound *= n_nodes
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    uniq = np.stack([assign[t][rows[first]] for t in other], axis=1)
     # a stable sort groups the rows cell after cell, each cell in row order
     grouped = rows[np.argsort(inverse, kind="stable")]
     sizes = np.bincount(inverse, minlength=len(first))
-    return _build_cells(trees, other, support, uniq.astype(np.int32), grouped, sizes, ds.schema)
 
+    # the node table stacks the other trees' nodes, tree after tree; ids[i, c]
+    # is the row of cell i's leaf in tree other[c], read off the cell's first row
+    n = len(first)
+    nodes = [sup.restrictions for t in other for sup in trees[t].supports]
+    ids = np.empty((n, len(other)), dtype=np.intp)
+    offset = 0
+    for c, t in enumerate(other):
+        ids[:, c] = offset + assign[t][rows[first]]
+        offset += len(trees[t].nodes)
 
-def _one_cell(trees, support, rows, schema) -> Cells:
-    return _build_cells(
-        trees, [], support, np.zeros((1, 0), dtype=np.int32), rows, np.array([len(rows)]), schema
-    )
+    restr = []
+    fracs = np.empty((n, schema.d))
+    for j, dom in enumerate(schema.domains):
+        base = support.restrictions[j]
+        column = [r[j] for r in nodes]
+        if dom.kind == CATEGORICAL:
+            n_cats = len(dom.categories)
+            node_sel = _subset_rows([r.codes for r in column], n_cats).astype(bool)
+            sel = np.zeros((n, n_cats), dtype=bool)
+            sel[:, list(base.codes)] = True
+            for c in range(len(other)):
+                sel &= node_sel[ids[:, c]]
+            restr.append(("cat", sel))
+            fracs[:, j] = sel.sum(axis=1) / n_cats
+        elif dom.kind == INTEGER:
+            node_a = np.array([r.a for r in column], dtype=np.int64)
+            node_b = np.array([r.b for r in column], dtype=np.int64)
+            a = np.maximum.reduce(node_a[ids], axis=1, initial=base.a)
+            b = np.minimum.reduce(node_b[ids], axis=1, initial=base.b)
+            restr.append(("int", a, b))
+            fracs[:, j] = (b - a + 1) / dom.n_values()
+        else:
+            node_lo = np.array([r.lo for r in column], dtype=float)
+            node_hi = np.array([r.hi for r in column], dtype=float)
+            lo = np.maximum.reduce(node_lo[ids], axis=1, initial=base.lo)
+            hi = np.minimum.reduce(node_hi[ids], axis=1, initial=base.hi)
+            restr.append(("num", lo, hi))
+            width = dom.hi - dom.lo
+            fracs[:, j] = np.maximum(hi - lo, 0.0) / width if width > 0 else 1.0
+    return Cells(grouped, sizes, fracs, restr)
 
 
 def _flatten_cells(cells: Cells, col):
@@ -384,10 +371,8 @@ def split_pred(trees, t_idx, leaf, rows, ds, cfg, loss, iteration, assign):
     sup = tree.supports[leaf]
     m = ds.m
     route = ds.routing_columns()
-    if cfg.mode == "gf":
-        cells = _affected_cells(trees, t_idx, sup, rows, ds, assign)
-    else:
-        cells = _one_cell(trees, sup, rows, ds.schema)
+    other = [t for t in range(len(trees)) if t != t_idx] if cfg.mode == "gf" else []
+    cells = _affected_cells(trees, other, sup, rows, assign, ds.schema)
 
     best = None  # (delta, feature, predicate)
     for j, dom in enumerate(ds.schema.domains):

@@ -294,7 +294,8 @@ def expected_depth(forest: GenerativeForest, cap: int = PARTITION_CAP_DEFAULT) -
     weighted by the empirical mass (GF) or the sampler's mass (EOGT)."""
     gf = forest.mode == "gf"
     return sum(
-        (len(aux) / forest.dataset.m if gf else aux) * sum(t.nodes[l].depth for t, l in zip(forest.trees, leaf_ids))
+        (len(aux) / forest.dataset.m if gf else aux)
+        * sum(len(path_to(t, l)) for t, l in zip(forest.trees, leaf_ids))
         for leaf_ids, _, aux in leaf_tuples(forest, prune_empty=True, cap=cap)
     )
 
@@ -472,7 +473,8 @@ def risk_delta(forest: GenerativeForest, t_idx: int, leaf: int, pred: SplitPredi
     rows = forest.leaf_rows[t_idx][leaf]
     tree = forest.trees[t_idx]
     assign = assignment_arrays(forest.leaf_rows, forest.dataset.m)
-    cells = _affected_cells(forest.trees, t_idx, tree.supports[leaf], rows, forest.dataset, assign)
+    other = [t for t in range(forest.T) if t != t_idx]
+    cells = _affected_cells(forest.trees, other, tree.supports[leaf], rows, assign, forest.schema)
     j = pred.feature
     dom = forest.schema.domains[j]
     col = forest.dataset.routing_columns()[j]

@@ -26,8 +26,8 @@ from genforest.measure import get_loss
 from genforest.sampler import branch_probability, generate
 from genforest.trainer import (
     TrainConfig,
+    _affected_cells,
     _numeric_candidates,
-    _one_cell,
     _score_numeric,
     train,
 )
@@ -250,7 +250,7 @@ def test_08a_candidate_thresholds_match_dense_grid():
     vals = sorted([0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 4, 4, 5, 6, 6, 6, 7, 8, 9, 9])
     ds = dataset_from_rows(["x"], [INTEGER], [[v] for v in vals])
     tree = Tree(ds.schema)
-    cells = _one_cell([tree], tree.supports[tree.root], np.arange(20), ds.schema)
+    cells = _affected_cells([tree], [], tree.supports[tree.root], np.arange(20), [], ds.schema)
     col = ds.routing_columns()[0]
     dom = ds.schema.domains[0]
     mids = _numeric_candidates(col)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genforest.data import CATEGORICAL, REAL, synth_domain
+from genforest.data import CATEGORICAL, INTEGER, REAL, synth_domain
 from genforest.evaluator import (
     TrainStats,
     copy_generator,
@@ -109,6 +109,16 @@ class TestLifelike:
         assert len(gf.fold_costs) == 3
         assert gf.mean < unif.mean
         assert copy.mean <= min(gf.mean, sub.mean)
+
+    def test_uniform_generator_gives_every_integer_value_equal_mass(self):
+        train_ds = dataset_from_rows(["k"], [INTEGER], [[0], [3], [1]])
+        n = 200_000
+        out = uniform_generator()(train_ds, train_ds.with_columns([np.zeros(n)]), seed=0)
+        values, counts = np.unique(out.columns[0], return_counts=True)
+        assert out.columns[0].dtype == np.float64
+        assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        # each count is about n / 4 = 50 000 with a standard deviation of 194
+        assert np.all(np.abs(counts - n / 4) < 1500), counts
 
     def test_result_serialization(self, tmp_path):
         ds = synth_domain("circGauss", seed=0).take_rows(np.arange(120))

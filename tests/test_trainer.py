@@ -7,7 +7,7 @@ import pytest
 from genforest import trainer
 from genforest.data import CATEGORICAL, INTEGER, REAL, FeatureDomain
 from genforest.forest import GenerativeForest, SplitPredicate, Tree
-from genforest.measure import cell_risk, get_loss
+from genforest.measure import cell_risk, get_loss, restriction_uniform_fraction
 from genforest.trainer import (
     TrainConfig,
     pick_tree_and_leaf,
@@ -181,7 +181,8 @@ class TestScoringInternals:
         for t_idx, per_tree in enumerate(forest.leaf_rows):
             for leaf, rows in per_tree.items():
                 sup = forest.trees[t_idx].supports[leaf]
-                cells = trainer._affected_cells(forest.trees, t_idx, sup, rows, ds, assign)
+                other = [t for t in range(len(forest.trees)) if t != t_idx]
+                cells = trainer._affected_cells(forest.trees, other, sup, rows, assign, ds.schema)
                 for j, dom in enumerate(ds.schema.domains):
                     cand = trainer._numeric_candidates(route[j][rows])
                     if len(cand) < 3:
@@ -201,14 +202,48 @@ class TestScoringInternals:
         for t_idx in (0, 41):
             for leaf, rows in forest.leaf_rows[t_idx].items():
                 sup = forest.trees[t_idx].supports[leaf]
-                cells = trainer._affected_cells(forest.trees, t_idx, sup, rows, ds, assign)
                 other = [t for t in range(42) if t != t_idx]
+                cells = trainer._affected_cells(forest.trees, other, sup, rows, assign, ds.schema)
                 labels = np.stack([assign[t][rows] for t in other], axis=1)
                 uniq, inverse = np.unique(labels, axis=0, return_inverse=True)
                 assert len(cells) == len(uniq)
                 cell_rows = np.split(cells.rows, np.cumsum(cells.sizes)[:-1])
                 for i in range(len(cells)):
                     assert np.array_equal(cell_rows[i], rows[inverse.ravel() == i])
+
+    @pytest.mark.parametrize("with_other_trees", [True, False])
+    def test_affected_cell_restrictions_intersect_the_leaf_supports(self, holes_ds, with_other_trees):
+        # each cell's bounds, modality mask and uniform fractions against the
+        # intersection of the leaf's support with the supports of the cell's
+        # leaves in the other trees, one Support.intersect at a time. Under
+        # this config at least two trees split each feature, so a cell that
+        # misses one other tree's bounds shows on some feature
+        cfg = TrainConfig(n_trees=3, n_splits=30, loss="log", pi=0.8, cat_cutoff=4, seed=0)
+        forest, history = train(holes_ds, cfg)
+        assert all(len({r.tree for r in history if r.feature == j}) >= 2 for j in range(3))
+        assign = assignment_arrays(forest.leaf_rows, holes_ds.m)
+        domains = holes_ds.schema.domains
+        for t_idx, per_tree in enumerate(forest.leaf_rows):
+            other = [t for t in range(3) if t != t_idx] if with_other_trees else []
+            for leaf, rows in per_tree.items():
+                sup = forest.trees[t_idx].supports[leaf]
+                cells = trainer._affected_cells(forest.trees, other, sup, rows, assign, holes_ds.schema)
+                assert cells.sizes.sum() == len(rows)
+                for i, cell in enumerate(np.split(cells.rows, np.cumsum(cells.sizes)[:-1])):
+                    [leaves] = {tuple(assign[t][r] for t in other) for r in cell}
+                    want = sup
+                    for t, node in zip(other, leaves):
+                        want = want.intersect(forest.trees[t].supports[node])
+                    for j, (dom, r) in enumerate(zip(domains, want.restrictions)):
+                        kind, *bounds = cells.restr[j]
+                        if dom.kind == CATEGORICAL:
+                            assert kind == "cat"
+                            assert set(np.flatnonzero(bounds[0][i]).tolist()) == r.codes
+                        elif dom.kind == INTEGER:
+                            assert (kind, bounds[0][i], bounds[1][i]) == ("int", r.a, r.b)
+                        else:
+                            assert (kind, bounds[0][i], bounds[1][i]) == ("num", r.lo, r.hi)
+                        assert cells.fracs[i, j] == restriction_uniform_fraction(dom, r)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +331,8 @@ def _leaf_cells(forest, ds):
     for t_idx, per_tree in enumerate(forest.leaf_rows):
         for leaf, rows in per_tree.items():
             sup = forest.trees[t_idx].supports[leaf]
-            yield rows, trainer._affected_cells(forest.trees, t_idx, sup, rows, ds, assign)
+            other = [t for t in range(len(forest.trees)) if t != t_idx]
+            yield rows, trainer._affected_cells(forest.trees, other, sup, rows, assign, ds.schema)
 
 
 def _hand_cells(values, bounds, other_fracs, kind, dom):
@@ -475,7 +511,7 @@ class TestCategoricalCandidates:
         monkeypatch.setattr(trainer, "MIN_CHILD_ROWS", 3)
         pred, delta = self._stump_split(ds, TrainConfig())
         assert pred.subset == frozenset({1})
-        cells = trainer._one_cell([Tree(ds.schema)], Tree(ds.schema).supports[0], np.arange(ds.m), ds.schema)
+        cells = trainer._affected_cells([Tree(ds.schema)], [], Tree(ds.schema).supports[0], np.arange(ds.m), [], ds.schema)
         ties = dense_score_categorical(cells, 0, ds.schema.domains[0], [[1], [1, 2, 3]],
                                        ds.routing_columns()[0], get_loss("square"), 0.5, ds.m)
         assert ties[0] == ties[1] == delta
