@@ -11,7 +11,7 @@ from math import isfinite, prod
 
 import numpy as np
 
-from .data import CATEGORICAL, INTEGER, DataError, Dataset, FeatureDomain, Schema
+from .data import CATEGORICAL, INTEGER, REAL, DataError, Dataset, FeatureDomain, Schema
 from .measure import (
     CatSubset,
     IntRange,
@@ -490,8 +490,14 @@ class GenerativeForest:
         if cells:
             (cell,) = cells
             p_cell, sup = cell.mass, cell.support
+        elif not any(d.kind == REAL and d.lo < d.hi and x == d.lo for d, x in zip(self.schema.domains, values)):
+            # a cell of zero mass is not on the walk. The only closed lower
+            # end a real restriction has is its domain's, so away from those
+            # ends the cell is wider than a point on every real feature, and
+            # it holds the point's integer value and category: its volume is
+            # positive, and the other trees need not be descended
+            return 0.0, False
         else:
-            # a cell of zero mass is not on the walk
             p_cell, sup = 0.0, Support.full(self.schema)
             for t in self.trees:
                 sup = sup.intersect(t.supports[t.leaf_of(values)])

@@ -243,6 +243,19 @@ class TestDensity:
         assert [c.tobytes() for c in got.columns] == [c.tobytes() for c in stepping_generate(eogt, 200, 0)]
         assert got.columns[0].min() > 0.10
 
+    def test_zero_mass_cell_away_from_lower_ends_descends_no_tree(self, toy2d, monkeypatch):
+        # x = 0.55 lies between two stumps at 0.5 and 0.6, in a GF cell
+        # without training rows, and away from every lower domain end
+        forest = _manual_forest(toy2d, [(0, 0.5), (0, 0.6)])
+        x = [0.55, toy2d.columns[1][0].item()]
+        assert oracles.density(forest, x) == (0.0, False)
+
+        def descend(tree, values):
+            raise AssertionError("a tree was descended")
+
+        monkeypatch.setattr(Tree, "leaf_of", descend)
+        assert forest.density(x) == (0.0, False)
+
     def test_outside_the_domain_names_the_feature(self, toy_forest):
         forest, _ = toy_forest
         for f in (forest, forest.to_eogt()):
